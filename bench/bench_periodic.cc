@@ -11,8 +11,8 @@
 //   periodic_rearm_micro/<scheme>/{relink,stopstart}
 //       The re-arm primitive in isolation on a preloaded periodic population:
 //       relink = the in-place RestartTimer machinery the expiry path uses;
-//       stopstart = the cookie- and cadence-preserving StopTimer +
-//       StartPeriodic round trip a facility without relink must pay. The
+//       stopstart = a client-side StopTimer + StartPeriodic round trip that
+//       keeps the cookie and cadence but mints a fresh handle. The
 //       acceptance bar (relink >= 1.5x on every wheel scheme) reads off these
 //       rows.
 //   periodic_lap/<scheme>/{relink,stopstart}

@@ -1,11 +1,12 @@
-// Experiment restart: in-place RestartTimer versus the stop+start fallback.
+// Experiment restart: in-place RestartTimer versus a client-side Stop+Start.
 //
 // Section 2's retransmission client restarts its per-connection timer on every
 // ACK and almost never lets it expire, so the relink — not start or expiry —
 // is the hot operation. RestartTimer keeps the record, the handle, and the
-// generation and only moves the link; the fallback pays a full
-// StopTimer+StartTimer round trip (unlink, retire the generation, allocate a
-// fresh record, mint a fresh handle). Three benchmark families:
+// generation and only moves the link; the baseline, a client issuing
+// StopTimer then StartTimer, pays the full round trip (unlink, retire the
+// generation, allocate a fresh record, mint a fresh handle). Three benchmark
+// families:
 //
 //   restart_micro/<scheme>/{inplace,stopstart}
 //       Tight relink loop over a preloaded population, single-threaded, per
@@ -20,8 +21,8 @@
 //       Multi-producer deferred ShardedWheel: producers relink their own
 //       far-future timers while a driver thread sweeps AdvanceTo batches and
 //       drains the rings. In-place is one kRestart ring command (no table
-//       allocation, no new handle); the fallback is a cancel + start command
-//       pair plus a registration-table alloc per relink.
+//       allocation, no new handle); the client-side Stop+Start is a cancel +
+//       start command pair plus a registration-table alloc per relink.
 //
 // scripts/bench_record.sh records this binary into BENCH_restart.json and
 // prints the in-place-vs-stopstart speedup per scheme and per producer count.

@@ -1,5 +1,5 @@
 // Experiment static_dispatch: what the virtual TimerService interface costs,
-// and what StaticTimerFacility<Scheme> (src/core/static_facility.h) saves.
+// and what holding a final scheme by value saves.
 //
 // Every scheme is measured through both dispatch paths with identical loop
 // code (the loop bodies are templates instantiated once per path):
@@ -10,8 +10,9 @@
 //       compiler cannot see the dynamic type: every call is an honest vtable
 //       dispatch and an optimization barrier.
 //   static_dispatch/<scheme>/<op>/static
-//       The same scheme held by value in StaticTimerFacility<Scheme>, whose
-//       qualified forwards resolve at compile time and inline.
+//       The same scheme held by value (`Scheme scheme(args...)`). Every scheme
+//       is `final`, so the compiler knows the dynamic type and resolves each
+//       call at compile time: a direct call, no vtable load.
 //
 // Ops, chosen to bracket the dispatch-overhead-to-work ratio:
 //
@@ -27,7 +28,7 @@
 //
 //   space_at_scale/<live>
 //       Measured PairedSlabArena slab footprint (not sizeof arithmetic) with
-//       up to 100M live timers in a hashed wheel via the static facade.
+//       up to 100M live timers in a hashed wheel held by value.
 //       Counters report hot/cold slab bytes and bytes per live timer; the
 //       per-op working set is the 64-byte hot slab line, the cold bytes ride
 //       in the parallel slab that per-op paths never touch.
@@ -43,6 +44,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/baselines/heap_timers.h"
@@ -52,7 +54,6 @@
 #include "src/core/hashed_wheel_unsorted.h"
 #include "src/core/hierarchical_wheel.h"
 #include "src/core/hybrid_wheel.h"
-#include "src/core/static_facility.h"
 #include "src/core/timer_facility.h"
 #include "src/rng/rng.h"
 
@@ -78,8 +79,8 @@ FacilityConfig BenchConfig(SchemeId id) {
 
 // ---------------------------------------------------------------------------
 // Op loops. `Service` is either TimerService (every call a vtable dispatch —
-// the dynamic type is factory-opaque) or StaticTimerFacility<Scheme> (every
-// call a qualified forward, resolved at compile time). Same code, same seeds.
+// the dynamic type is factory-opaque) or a final Scheme (every call resolved
+// at compile time). Same code, same seeds.
 
 template <typename Service>
 std::vector<TimerHandle> Preload(Service& service) {
@@ -143,6 +144,9 @@ void TickBody(benchmark::State& state, Service& service) {
 
 template <typename Scheme, typename... Args>
 void RegisterScheme(SchemeId id, Args... args) {
+  static_assert(std::is_final_v<Scheme>,
+                "the static rows rely on a final scheme to resolve calls at "
+                "compile time");
   const std::string base = "static_dispatch/" + std::string(SchemeName(id));
   const FacilityConfig config = BenchConfig(id);
 
@@ -153,8 +157,8 @@ void RegisterScheme(SchemeId id, Args... args) {
       });
   benchmark::RegisterBenchmark(
       (base + "/start_stop/static").c_str(), [args...](benchmark::State& st) {
-        StaticTimerFacility<Scheme> facility(args...);
-        StartStopBody(st, facility);
+        Scheme scheme(args...);
+        StartStopBody(st, scheme);
       });
 
   benchmark::RegisterBenchmark(
@@ -164,8 +168,8 @@ void RegisterScheme(SchemeId id, Args... args) {
       });
   benchmark::RegisterBenchmark(
       (base + "/restart/static").c_str(), [args...](benchmark::State& st) {
-        StaticTimerFacility<Scheme> facility(args...);
-        RestartBody(st, facility);
+        Scheme scheme(args...);
+        RestartBody(st, scheme);
       });
 
   benchmark::RegisterBenchmark(
@@ -175,8 +179,8 @@ void RegisterScheme(SchemeId id, Args... args) {
       });
   benchmark::RegisterBenchmark(
       (base + "/tick/static").c_str(), [args...](benchmark::State& st) {
-        StaticTimerFacility<Scheme> facility(args...);
-        TickBody(st, facility);
+        Scheme scheme(args...);
+        TickBody(st, scheme);
       });
 }
 
@@ -200,16 +204,16 @@ void BM_SpaceAtScale(benchmark::State& state) {
   double hot_slab = 0;
   double cold_slab = 0;
   for (auto _ : state) {
-    // Scheme 6 through the static facade: O(1) starts, 2^16 slots, intervals
-    // spread across a 2^20-tick horizon (rounds absorb the range).
-    StaticTimerFacility<HashedWheelUnsorted> facility(std::size_t{1} << 16);
+    // Scheme 6 held by value: O(1) starts, 2^16 slots, intervals spread
+    // across a 2^20-tick horizon (rounds absorb the range).
+    HashedWheelUnsorted scheme(std::size_t{1} << 16);
     rng::Xoshiro256 gen(3);
     for (std::size_t i = 0; i < live; ++i) {
       benchmark::DoNotOptimize(
-          facility.StartTimer(1 + gen.NextBounded(Duration{1} << 20), i));
+          scheme.StartTimer(1 + gen.NextBounded(Duration{1} << 20), i));
     }
-    hot_slab = static_cast<double>(facility.scheme().hot_slab_bytes());
-    cold_slab = static_cast<double>(facility.scheme().cold_slab_bytes());
+    hot_slab = static_cast<double>(scheme.hot_slab_bytes());
+    cold_slab = static_cast<double>(scheme.cold_slab_bytes());
   }
   // items_per_second doubles as allocation throughput while the slabs grow.
   state.SetItemsProcessed(state.iterations() *

@@ -9,12 +9,12 @@
 #   mpsc_submit   BENCH_mpsc_submit.json — locked vs. deferred (MPSC ring)
 #                 start/stop submission throughput at 1/2/4/8 producer threads
 #                 against a driver thread sweeping a 4Mi-timer wheel.
-#   restart       BENCH_restart.json — in-place RestartTimer vs the
-#                 StopTimer+StartTimer fallback: tight relink loop and
+#   restart       BENCH_restart.json — in-place RestartTimer vs a
+#                 client-side StopTimer+StartTimer: tight relink loop and
 #                 TCP-retransmission replay per scheme single-threaded, plus
 #                 multi-producer relinks against the deferred ShardedWheel.
 #   periodic      BENCH_periodic.json — expiry-path periodic re-arm: relink vs
-#                 the stop+start round trip (micro + whole-lap families per
+#                 a client-side stop+start round trip (micro + whole-lap families per
 #                 scheme), and the networked timer server's end-to-end callback
 #                 throughput at up to millions of concurrent sessions.
 #   mpmc_dispatch BENCH_mpmc_dispatch.json — DispatchPool expiry dispatch
@@ -29,8 +29,8 @@
 #                 (fixed/essential/hot/cold/auxiliary bytes as counters) plus
 #                 the 2^32-range coverage comparison (bench/bench_space.cc).
 #   static_dispatch
-#                 BENCH_static_dispatch.json — virtual TimerService vs
-#                 StaticTimerFacility<Scheme> per scheme per op
+#                 BENCH_static_dispatch.json — virtual TimerService vs the
+#                 final scheme held by value, per scheme per op
 #                 (start_stop/restart/tick), and the measured hot/cold slab
 #                 footprint out to 100M live timers
 #                 (bench/bench_static_dispatch.cc).
@@ -506,7 +506,7 @@ scale = {
     if (m := re.match(r"space_at_scale/(\d+)", n))
 }
 if scale:
-    print("space at scale (measured slab footprint, hashed wheel, static path):")
+    print("space at scale (measured slab footprint, hashed wheel held by value):")
     print(f"  {'live':>12}{'hot slab MiB':>14}{'cold slab MiB':>15}"
           f"{'hot B/live':>12}{'total B/live':>14}{'starts/s':>14}")
     for live in sorted(scale):

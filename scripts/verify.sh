@@ -42,16 +42,15 @@
 # `lawn`-labelled tests (lawn_regression_test, slop_differential_test, plus the
 # scheme-8 rows of every kAllSchemes-parameterized suite), the
 # `layout`-labelled tests (layout_test: hot/cold TimerRecord offset, union, and
-# slab-alignment pins), the `facade`-labelled tests (static_facade_test:
-# StaticTimerFacility differential + lockstep byte-equality vs the virtual
-# path), and the `cluster`-labelled tests (the replicated timer cluster:
-# fault-matrix oracle episodes, failover timing, twin/cross-scheme
-# determinism, the facade differential torture, wire-decode robustness, and
+# slab-alignment pins), and the `cluster`-labelled tests (the replicated
+# timer cluster: fault-matrix oracle episodes, failover timing,
+# twin/cross-scheme determinism, the cluster-facade differential torture,
+# wire-decode robustness, and
 # the channel counter-snapshot race — the last two are exactly the suites the
 # ASan/UBSan and TSan legs exist to arm) are exercised plain, under ASan+UBSan,
 # and under TSan on every gate run. `ctest -L restart` / `ctest -L periodic` /
-# `ctest -L mpmc` / `ctest -L lawn` / `ctest -L layout` / `ctest -L facade` /
-# `ctest -L cluster` in any build directory runs just them.
+# `ctest -L mpmc` / `ctest -L lawn` / `ctest -L layout` / `ctest -L cluster`
+# in any build directory runs just them.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -30,6 +30,7 @@
 #include <string_view>
 #include <utility>
 
+#include "src/base/assert.h"
 #include "src/base/expected.h"
 #include "src/base/slab_arena.h"
 #include "src/base/types.h"
@@ -105,8 +106,8 @@ class TimerService {
   // cannot recover the client's cookie — it silently restarted the timer with
   // RequestId{0}, so the eventual expiry delivered the wrong cookie. A restart
   // that loses the cookie is worse than no restart; services without arena
-  // access must refuse rather than guess (TimerServiceBase provides the
-  // cookie-preserving arena-aware fallback).
+  // access must refuse rather than guess. TimerServiceBase re-declares this
+  // pure, so every arena-backed scheme must supply its in-place override.
   virtual TimerError RestartTimer(TimerHandle handle, Duration new_interval) {
     (void)handle;
     if (new_interval == 0) {
@@ -232,39 +233,10 @@ class TimerServiceBase : public TimerService {
   metrics::OpCounts counts() const final { return counts_; }
   void set_expiry_handler(ExpiryHandler handler) final { handler_ = std::move(handler); }
 
-  // Cookie-preserving stop+start fallback: recovers the client's RequestId from
-  // the arena before the stop, so the rescheduled timer keeps its cookie — but
-  // the arena recycles the slot, so the caller's handle is burned. Every scheme
-  // in this repository overrides this with an in-place relink that keeps the
-  // handle valid; the fallback remains for derived services outside the
-  // differential matrix (sim::TegasWheel, hw::ChipAssistedWheel).
-  TimerError RestartTimer(TimerHandle handle, Duration new_interval) override {
-    if (new_interval == 0) {
-      return TimerError::kZeroInterval;
-    }
-    TimerRecord* rec = Resolve(handle);
-    if (rec == nullptr) {
-      return TimerError::kNoSuchTimer;
-    }
-    const ColdTimerRecord& old_cold = cold(rec);
-    const RequestId request_id = old_cold.request_id;
-    const Duration period = old_cold.period;
-    const std::uint64_t repeats_left = old_cold.repeats_left;
-    const TimerError stopped = StopTimer(handle);
-    if (stopped != TimerError::kOk) {
-      return stopped;
-    }
-    StartResult restarted = StartTimer(new_interval, request_id);
-    if (!restarted.has_value()) {
-      return restarted.error();
-    }
-    // A restarted periodic keeps its cadence and remaining-fire budget even
-    // across the handle burn.
-    ColdTimerRecord& fresh = cold(Resolve(restarted.value()));
-    fresh.period = period;
-    fresh.repeats_left = repeats_left;
-    return TimerError::kOk;
-  }
+  // Pure: a stop+start body would burn the caller's handle, so every
+  // arena-backed scheme must reschedule in place (unlink/relink, sift, or
+  // rotate), built from ResolveForRestart + StampRestart below.
+  TimerError RestartTimer(TimerHandle handle, Duration new_interval) override = 0;
 
   // Arena-backed periodic registration: a one-shot start plus the cadence
   // stamped on the record. The cadence follows the *effective* interval (after
@@ -411,40 +383,15 @@ class TimerServiceBase : public TimerService {
   }
 
   // Dispatch EXPIRY_PROCESSING for `rec` and release it. The record must already be
-  // unlinked from the scheme's structures. Periodic safety net: a derived service
-  // that never calls TryFirePeriodic (sim::TegasWheel, hw::ChipAssistedWheel) still
-  // gets correct periodic semantics here via a stop+start re-arm; a rejected
-  // re-arm is a documented drop (periodic_drops) that degrades to a final expiry
-  // instead of aborting.
+  // unlinked from the scheme's structures. Non-final periodic fires never get
+  // here: every drain loop offers a due record to TryFirePeriodic first, so what
+  // arrives is a one-shot, a final lap, or a periodic degraded by a rejected
+  // re-arm. A scheme that skips TryFirePeriodic stops here loudly.
   void Expire(TimerRecord* rec) {
     const ColdTimerRecord& c = cold(rec);
+    TWHEEL_ASSERT_MSG(c.period == 0 || c.repeats_left == 1,
+                      "periodic record expired without TryFirePeriodic");
     const RequestId id = c.request_id;
-    if (c.period != 0 && c.repeats_left != 1) {
-      const Duration period = c.period;
-      const std::uint64_t repeats = c.repeats_left;
-      const Duration delay = NextPeriodicDelay(rec->expiry_tick, period);
-      ReleaseRecord(rec);
-      StartResult rearmed = this->StartTimer(delay, id);
-      if (rearmed.has_value()) {
-        ColdTimerRecord& fresh = cold(Resolve(rearmed.value()));
-        fresh.period = period;
-        fresh.repeats_left = repeats > 1 ? repeats - 1 : repeats;
-        --counts_.start_calls;  // a re-arm is not a client start
-        ++counts_.periodic_fires;
-        ++counts_.expiry_dispatches;
-        if (handler_) {
-          handler_(id, now_);
-        }
-        return;
-      }
-      ++counts_.periodic_drops;
-      ++counts_.expiries;
-      ++counts_.expiry_dispatches;
-      if (handler_) {
-        handler_(id, now_);
-      }
-      return;
-    }
     ++counts_.expiries;
     ++counts_.expiry_dispatches;
     ReleaseRecord(rec);

@@ -31,15 +31,7 @@ StartResult ChipAssistedWheel::StartTimer(Duration interval, RequestId request_i
   if (rec == nullptr) {
     return TimerError::kNoCapacity;
   }
-  const std::size_t slot_index = rec->expiry_tick & mask();
-  rec->rounds = (interval - 1) >> shift_;
-  IntrusiveList<TimerRecord>& queue = slots_[slot_index];
-  // "When the host inserts a timer into an empty queue pointed to by array element
-  // X it tells the chip about this new queue."
-  if (queue.empty()) {
-    NotifyBusy(slot_index);
-  }
-  queue.PushBack(rec);
+  LinkToQueue(rec);
   ++counts_.insert_link_ops;
   return rec->self;
 }
@@ -50,16 +42,45 @@ TimerError ChipAssistedWheel::StopTimer(TimerHandle handle) {
   if (rec == nullptr) {
     return TimerError::kNoSuchTimer;
   }
-  const std::size_t slot_index = rec->expiry_tick & mask();
-  rec->Unlink();
+  UnlinkFromQueue(rec);
   ++counts_.delete_unlink_ops;
   ReleaseRecord(rec);
+  return TimerError::kOk;
+}
+
+TimerError ChipAssistedWheel::RestartTimer(TimerHandle handle,
+                                           Duration new_interval) {
+  TimerError error = TimerError::kOk;
+  TimerRecord* rec = ResolveForRestart(handle, new_interval, &error);
+  if (rec == nullptr) {
+    return error;
+  }
+  UnlinkFromQueue(rec);
+  StampRestart(rec, new_interval);
+  LinkToQueue(rec);
+  return TimerError::kOk;
+}
+
+void ChipAssistedWheel::LinkToQueue(TimerRecord* rec) {
+  const std::size_t slot_index = rec->expiry_tick & mask();
+  rec->rounds = (rec->interval - 1) >> shift_;
+  IntrusiveList<TimerRecord>& queue = slots_[slot_index];
+  // "When the host inserts a timer into an empty queue pointed to by array element
+  // X it tells the chip about this new queue."
+  if (queue.empty() && slot_index != draining_) {
+    NotifyBusy(slot_index);
+  }
+  queue.PushBack(rec);
+}
+
+void ChipAssistedWheel::UnlinkFromQueue(TimerRecord* rec) {
+  const std::size_t slot_index = rec->expiry_tick & mask();
+  rec->Unlink();
   // "When the host deletes a timer entry from some queue and leaves behind an empty
   // queue it needs to inform the chip."
-  if (slots_[slot_index].empty()) {
+  if (slots_[slot_index].empty() && slot_index != draining_) {
     NotifyFree(slot_index);
   }
-  return TimerError::kOk;
 }
 
 std::size_t ChipAssistedWheel::PerTickBookkeeping() {
@@ -81,25 +102,31 @@ std::size_t ChipAssistedWheel::PerTickBookkeeping() {
   std::size_t expired = 0;
   IntrusiveList<TimerRecord> pending;
   pending.SpliceAll(queue);
+  draining_ = slot_index;
   while (TimerRecord* rec = pending.front()) {
-    rec->Unlink();
     ++counts_.decrement_visits;
     if (rec->rounds == 0) {
       TWHEEL_ASSERT(rec->expiry_tick == now_);
-      Expire(rec);
       ++expired;
+      // A period that is a multiple of the table size relinks into `queue`, a
+      // revolution away — never into `pending`.
+      if (TryFirePeriodic(rec)) {
+        continue;
+      }
+      rec->Unlink();
+      Expire(rec);
     } else {
+      rec->Unlink();
       --rec->rounds;
       queue.PushBack(rec);
     }
   }
-  // Reconcile the busy bit with the queue's final state. (Mid-drain, a reentrant
-  // StopTimer can observe the spliced-out queue as empty and send an early free
-  // notification, and a reentrant StartTimer a busy one; the final state wins.)
-  if (queue.empty() && busy_[slot_index]) {
+  draining_ = kNotDraining;
+  // The busy bit stayed set through the drain: laps, restarts, starts and stops
+  // that touched this queue mid-drain (periodic re-arms, expiry handlers) sent
+  // no notifications. Settle it once, from the queue's final state.
+  if (queue.empty()) {
     NotifyFree(slot_index);
-  } else if (!queue.empty() && !busy_[slot_index]) {
-    NotifyBusy(slot_index);
   }
   return expired;
 }

@@ -43,6 +43,10 @@ class ChipAssistedWheel final : public TimerServiceBase {
 
   StartResult StartTimer(Duration interval, RequestId request_id) final;
   TimerError StopTimer(TimerHandle handle) final;
+  // In place: unlink from the old queue (free notification if it empties),
+  // re-stamp, relink with fresh rounds (busy notification if the new queue was
+  // empty). The handle stays valid.
+  TimerError RestartTimer(TimerHandle handle, Duration new_interval) final;
   std::size_t PerTickBookkeeping() final;
   std::string_view name() const final { return "scheme6-chip-assisted"; }
 
@@ -78,6 +82,14 @@ class ChipAssistedWheel final : public TimerServiceBase {
     busy_[slot_index] = false;
   }
 
+  // Host side of every queue change, shared by start, stop and restart.
+  // LinkToQueue files a record by its expiry_tick and interval (recomputing
+  // rounds); UnlinkFromQueue takes it out. Each sends the busy/free message the
+  // change calls for, except on the queue being drained, whose busy bit
+  // PerTickBookkeeping settles once after the drain.
+  void LinkToQueue(TimerRecord* rec);
+  void UnlinkFromQueue(TimerRecord* rec);
+
   // Host memory: the timer queues. A record's wheel slot is recomputable from its
   // absolute expiry (expiry & mask), so stops need no side table.
   std::uint32_t shift_;
@@ -85,6 +97,10 @@ class ChipAssistedWheel final : public TimerServiceBase {
 
   // Chip memory: the busy bits.
   std::vector<bool> busy_;
+
+  // Index of the queue PerTickBookkeeping is draining, or kNotDraining.
+  static constexpr std::size_t kNotDraining = ~std::size_t{0};
+  std::size_t draining_ = kNotDraining;
 
   std::uint64_t chip_scans_ = 0;
   std::uint64_t host_interrupts_ = 0;

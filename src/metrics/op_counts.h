@@ -11,144 +11,113 @@
 #ifndef TWHEEL_SRC_METRICS_OP_COUNTS_H_
 #define TWHEEL_SRC_METRICS_OP_COUNTS_H_
 
+#include <cstddef>
 #include <cstdint>
 
 namespace twheel::metrics {
 
-struct OpCounts {
-  // Routine invocations (the paper's four-routine model, Section 2).
-  std::uint64_t start_calls = 0;
-  std::uint64_t stop_calls = 0;
-  std::uint64_t ticks = 0;
-  std::uint64_t expiries = 0;
+// The counter fields, declared once. Each X(name) becomes a zero-initialised
+// std::uint64_t member of OpCounts, and operator+= / operator- are generated
+// from the same list, so no field can be missed by one of them.
+#define TWHEEL_OP_COUNTS_FIELDS(X)                                                       \
+  /* Routine invocations (the paper's four-routine model, Section 2). */                 \
+  X(start_calls)                                                                         \
+  X(stop_calls)                                                                          \
+  X(ticks)                                                                               \
+  X(expiries)                                                                            \
+                                                                                         \
+  /* Elementary operations. */                                                           \
+  /* A per-tick inspection of a wheel slot / list head that found nothing to do          \
+     ("4 instructions to skip an empty array location"). */                              \
+  X(empty_slot_checks)                                                                   \
+  /* One record visited and decremented (or its round count examined) during             \
+     PER_TICK_BOOKKEEPING ("6 instructions to decrement a timer and move on"). */        \
+  X(decrement_visits)                                                                    \
+  /* One record linked into a list / heap / tree ("13 cheap VAX instructions to          \
+     insert a timer"). */                                                                \
+  X(insert_link_ops)                                                                     \
+  /* One record unlinked ("7 to delete a timer"). */                                     \
+  X(delete_unlink_ops)                                                                   \
+  /* One expired record removed and its EXPIRY_PROCESSING dispatched ("a further 9       \
+     instructions"). */                                                                  \
+  X(expiry_dispatches)                                                                   \
+  /* Key comparisons made while searching for an insertion point (sorted lists,          \
+     trees, heaps). This is the quantity Section 3.2's 2 + 2n/3 formulas predict. */     \
+  X(comparisons)                                                                         \
+  /* Scheme 7 only: one timer moved from a coarser wheel to a finer one. */              \
+  X(migrations)                                                                          \
+  /* Batched advancement (AdvanceTo): empty slot probes the occupancy bitmap let a       \
+     wheel skip outright. Each skipped slot would have cost an empty_slot_check ("4      \
+     instructions to skip an empty array location") under the per-tick loop, so          \
+     slots_skipped * 4 is the VAX-instruction saving in the paper's currency. */         \
+  X(slots_skipped)                                                                       \
+  /* Number of batched AdvanceTo invocations that took a bitmap fast path (the           \
+     default loop implementation does not count here). */                                \
+  X(batch_advances)                                                                      \
+  /* Deferred-registration submission runtime (concurrent::ShardedWheel in MPSC          \
+     mode). Start commands accepted into a per-shard submission ring; the client         \
+     saw kOk but the wheel sees the timer only at the next drain. */                     \
+  X(enqueued_starts)                                                                     \
+  /* Commands (starts and cancels) the tick driver has consumed from the rings. */       \
+  X(drained_commands)                                                                    \
+  /* CAS attempts lost to a concurrent producer while enqueueing a command or            \
+     allocating a registration entry — the price of lock-freedom, in the same            \
+     spirit as the paper's elementary-operation accounting. Zero under no                \
+     contention (the enqueue is then wait-free: one CAS, one store). */                  \
+  X(submit_retries)                                                                      \
+  /* RestartTimer invocations that found a live timer and rescheduled it. A              \
+     restart is neither a start nor a stop: the conservation law is                      \
+     start_calls == expiries + cancels + outstanding regardless of restarts. */          \
+  X(restart_calls)                                                                       \
+  /* Elementary relink work done by in-place restarts: one unlink from the old           \
+     position plus one link at the new one counts 1 here (the wheels' O(1)               \
+     move); sift/rebalance steps in the comparison-based schemes add their               \
+     comparisons to `comparisons` as usual. */                                           \
+  X(restart_relink_ops)                                                                  \
+  /* Deferred-mode restarts that never became a command because the timer's              \
+     start was still pending in the submission ring: the new deadline was                \
+     coalesced into the registration entry in place. */                                  \
+  X(restart_coalesced)                                                                   \
+  /* StartPeriodic invocations accepted (also counted in start_calls: a periodic         \
+     registration is one client START_TIMER that re-arms itself). */                     \
+  X(periodic_starts)                                                                     \
+  /* Non-final periodic expiries: the handler ran and the record re-armed in             \
+     place. Final fires of a finite periodic count in `expiries` instead, so the         \
+     conservation law start_calls == expiries + cancels + outstanding holds. */          \
+  X(periodic_fires)                                                                      \
+  /* Expiry-path re-arms performed as O(1) relinks of the live record (no arena          \
+     release, handle and generation preserved). */                                       \
+  X(periodic_rearm_relinks)                                                              \
+  /* Periodic re-arms the service had to abandon (the in-place relink returned a         \
+     TimerError): the timer degrades to a final expiry instead of aborting. */           \
+  X(periodic_drops)                                                                      \
+  /* Multi-drainer dispatch (concurrent::DispatchPool over ShardedWheel):                \
+     per-shard expiry batches published for dispatch after a shard advance. */           \
+  X(dispatch_batches)                                                                    \
+  /* Batches dispatched by a drainer that does not own the batch's shard — the           \
+     work-stealing path (an idle core borrowing a burst-hit shard's delivery). */        \
+  X(dispatch_steals)
 
-  // Elementary operations.
-  // A per-tick inspection of a wheel slot / list head that found nothing to do
-  // ("4 instructions to skip an empty array location").
-  std::uint64_t empty_slot_checks = 0;
-  // One record visited and decremented (or its round count examined) during
-  // PER_TICK_BOOKKEEPING ("6 instructions to decrement a timer and move on").
-  std::uint64_t decrement_visits = 0;
-  // One record linked into a list / heap / tree ("13 cheap VAX instructions to
-  // insert a timer").
-  std::uint64_t insert_link_ops = 0;
-  // One record unlinked ("7 to delete a timer").
-  std::uint64_t delete_unlink_ops = 0;
-  // One expired record removed and its EXPIRY_PROCESSING dispatched ("a further 9
-  // instructions").
-  std::uint64_t expiry_dispatches = 0;
-  // Key comparisons made while searching for an insertion point (sorted lists,
-  // trees, heaps). This is the quantity Section 3.2's 2 + 2n/3 formulas predict.
-  std::uint64_t comparisons = 0;
-  // Scheme 7 only: one timer moved from a coarser wheel to a finer one.
-  std::uint64_t migrations = 0;
-  // Batched advancement (AdvanceTo): empty slot probes the occupancy bitmap let a
-  // wheel skip outright. Each skipped slot would have cost an empty_slot_check ("4
-  // instructions to skip an empty array location") under the per-tick loop, so
-  // slots_skipped * 4 is the VAX-instruction saving in the paper's currency.
-  std::uint64_t slots_skipped = 0;
-  // Number of batched AdvanceTo invocations that took a bitmap fast path (the
-  // default loop implementation does not count here).
-  std::uint64_t batch_advances = 0;
-  // Deferred-registration submission runtime (concurrent::ShardedWheel in MPSC
-  // mode). Start commands accepted into a per-shard submission ring; the client
-  // saw kOk but the wheel sees the timer only at the next drain.
-  std::uint64_t enqueued_starts = 0;
-  // Commands (starts and cancels) the tick driver has consumed from the rings.
-  std::uint64_t drained_commands = 0;
-  // CAS attempts lost to a concurrent producer while enqueueing a command or
-  // allocating a registration entry — the price of lock-freedom, in the same
-  // spirit as the paper's elementary-operation accounting. Zero under no
-  // contention (the enqueue is then wait-free: one CAS, one store).
-  std::uint64_t submit_retries = 0;
-  // RestartTimer invocations that found a live timer and rescheduled it. A
-  // restart is neither a start nor a stop: the conservation law is
-  // start_calls == expiries + cancels + outstanding regardless of restarts.
-  std::uint64_t restart_calls = 0;
-  // Elementary relink work done by in-place restarts: one unlink from the old
-  // position plus one link at the new one counts 1 here (the wheels' O(1)
-  // move); sift/rebalance steps in the comparison-based schemes add their
-  // comparisons to `comparisons` as usual.
-  std::uint64_t restart_relink_ops = 0;
-  // Deferred-mode restarts that never became a command because the timer's
-  // start was still pending in the submission ring: the new deadline was
-  // coalesced into the registration entry in place.
-  std::uint64_t restart_coalesced = 0;
-  // StartPeriodic invocations accepted (also counted in start_calls: a periodic
-  // registration is one client START_TIMER that re-arms itself).
-  std::uint64_t periodic_starts = 0;
-  // Non-final periodic expiries: the handler ran and the record re-armed in
-  // place. Final fires of a finite periodic count in `expiries` instead, so the
-  // conservation law start_calls == expiries + cancels + outstanding holds.
-  std::uint64_t periodic_fires = 0;
-  // Expiry-path re-arms performed as O(1) relinks of the live record (no arena
-  // release, handle and generation preserved).
-  std::uint64_t periodic_rearm_relinks = 0;
-  // Periodic re-arms the service had to abandon (stop+start fallback rejected by
-  // range/capacity): the timer degrades to a final expiry instead of aborting.
-  std::uint64_t periodic_drops = 0;
-  // Multi-drainer dispatch (concurrent::DispatchPool over ShardedWheel):
-  // per-shard expiry batches published for dispatch after a shard advance.
-  std::uint64_t dispatch_batches = 0;
-  // Batches dispatched by a drainer that does not own the batch's shard — the
-  // work-stealing path (an idle core borrowing a burst-hit shard's delivery).
-  std::uint64_t dispatch_steals = 0;
+struct OpCounts {
+#define TWHEEL_OP_COUNTS_DECLARE(name) std::uint64_t name = 0;
+  TWHEEL_OP_COUNTS_FIELDS(TWHEEL_OP_COUNTS_DECLARE)
+#undef TWHEEL_OP_COUNTS_DECLARE
+
+#define TWHEEL_OP_COUNTS_ONE(name) +1
+  static constexpr std::size_t kFieldCount = 0 TWHEEL_OP_COUNTS_FIELDS(TWHEEL_OP_COUNTS_ONE);
+#undef TWHEEL_OP_COUNTS_ONE
 
   OpCounts& operator+=(const OpCounts& o) {
-    start_calls += o.start_calls;
-    stop_calls += o.stop_calls;
-    ticks += o.ticks;
-    expiries += o.expiries;
-    empty_slot_checks += o.empty_slot_checks;
-    decrement_visits += o.decrement_visits;
-    insert_link_ops += o.insert_link_ops;
-    delete_unlink_ops += o.delete_unlink_ops;
-    expiry_dispatches += o.expiry_dispatches;
-    comparisons += o.comparisons;
-    migrations += o.migrations;
-    slots_skipped += o.slots_skipped;
-    batch_advances += o.batch_advances;
-    enqueued_starts += o.enqueued_starts;
-    drained_commands += o.drained_commands;
-    submit_retries += o.submit_retries;
-    restart_calls += o.restart_calls;
-    restart_relink_ops += o.restart_relink_ops;
-    restart_coalesced += o.restart_coalesced;
-    periodic_starts += o.periodic_starts;
-    periodic_fires += o.periodic_fires;
-    periodic_rearm_relinks += o.periodic_rearm_relinks;
-    periodic_drops += o.periodic_drops;
-    dispatch_batches += o.dispatch_batches;
-    dispatch_steals += o.dispatch_steals;
+#define TWHEEL_OP_COUNTS_ADD(name) name += o.name;
+    TWHEEL_OP_COUNTS_FIELDS(TWHEEL_OP_COUNTS_ADD)
+#undef TWHEEL_OP_COUNTS_ADD
     return *this;
   }
 
   friend OpCounts operator-(OpCounts a, const OpCounts& b) {
-    a.start_calls -= b.start_calls;
-    a.stop_calls -= b.stop_calls;
-    a.ticks -= b.ticks;
-    a.expiries -= b.expiries;
-    a.empty_slot_checks -= b.empty_slot_checks;
-    a.decrement_visits -= b.decrement_visits;
-    a.insert_link_ops -= b.insert_link_ops;
-    a.delete_unlink_ops -= b.delete_unlink_ops;
-    a.expiry_dispatches -= b.expiry_dispatches;
-    a.comparisons -= b.comparisons;
-    a.migrations -= b.migrations;
-    a.slots_skipped -= b.slots_skipped;
-    a.batch_advances -= b.batch_advances;
-    a.enqueued_starts -= b.enqueued_starts;
-    a.drained_commands -= b.drained_commands;
-    a.submit_retries -= b.submit_retries;
-    a.restart_calls -= b.restart_calls;
-    a.restart_relink_ops -= b.restart_relink_ops;
-    a.restart_coalesced -= b.restart_coalesced;
-    a.periodic_starts -= b.periodic_starts;
-    a.periodic_fires -= b.periodic_fires;
-    a.periodic_rearm_relinks -= b.periodic_rearm_relinks;
-    a.periodic_drops -= b.periodic_drops;
-    a.dispatch_batches -= b.dispatch_batches;
-    a.dispatch_steals -= b.dispatch_steals;
+#define TWHEEL_OP_COUNTS_SUB(name) a.name -= b.name;
+    TWHEEL_OP_COUNTS_FIELDS(TWHEEL_OP_COUNTS_SUB)
+#undef TWHEEL_OP_COUNTS_SUB
     return a;
   }
 
@@ -158,6 +127,11 @@ struct OpCounts {
     return empty_slot_checks + decrement_visits + expiry_dispatches + migrations;
   }
 };
+
+// A field declared outside TWHEEL_OP_COUNTS_FIELDS would be skipped by the
+// generated operators; this makes it a compile error instead.
+static_assert(sizeof(OpCounts) == OpCounts::kFieldCount * sizeof(std::uint64_t),
+              "every OpCounts field must be listed in TWHEEL_OP_COUNTS_FIELDS");
 
 }  // namespace twheel::metrics
 

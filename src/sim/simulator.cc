@@ -36,10 +36,10 @@ Simulator::Simulator(std::unique_ptr<TimerService> service)
     // generation survive, so the token still cancels future runs; no arena
     // allocation happens, so a full arena can no longer reject the re-arm
     // mid-dispatch). An earlier version re-armed here with StartTimer and
-    // *aborted* when the service rejected it; the rare re-arm a service does
-    // drop (OpCounts::periodic_drops) now just ends the series, leaving the
-    // token cancellable. Invoke a copy in case the action cancels its own
-    // token (freeing the entry, and with it the stored std::function,
+    // *aborted* when the service rejected it; a re-arm the scheme's in-place
+    // relink rejects (OpCounts::periodic_drops) now just ends the series,
+    // leaving the token cancellable. Invoke a copy in case the action cancels
+    // its own token (freeing the entry, and with it the stored std::function,
     // mid-run).
     Action run = entry->action;
     run();
@@ -86,9 +86,9 @@ bool Simulator::Cancel(EventToken token) {
     TWHEEL_ASSERT_MSG(err == TimerError::kOk,
                       "simulator entry alive but timer dead");
   }
-  // A periodic whose re-arm the service dropped (periodic_drops) has a dead
-  // timer behind a live entry; cancelling it just reclaims the entry and
-  // reports that nothing was still scheduled.
+  // A periodic whose in-place re-arm the scheme rejected (periodic_drops) has
+  // a dead timer behind a live entry; cancelling it just reclaims the entry
+  // and reports that nothing was still scheduled.
   entries_.Free(token.ref);
   return err == TimerError::kOk;
 }

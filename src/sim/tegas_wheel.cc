@@ -36,6 +36,12 @@ StartResult TegasWheel::StartTimer(Duration interval, RequestId request_id) {
   if (rec == nullptr) {
     return TimerError::kNoCapacity;
   }
+  Place(rec);
+  ++counts_.insert_link_ops;
+  return rec->self;
+}
+
+void TegasWheel::Place(TimerRecord* rec) {
   if (rec->expiry_tick <= covered_until_) {
     slots_[rec->expiry_tick % slots_.size()].PushBack(rec);
   } else {
@@ -43,8 +49,6 @@ StartResult TegasWheel::StartTimer(Duration interval, RequestId request_id) {
     // list" — unsorted, rescanned at every rotation.
     overflow_.PushBack(rec);
   }
-  ++counts_.insert_link_ops;
-  return rec->self;
 }
 
 TimerError TegasWheel::StopTimer(TimerHandle handle) {
@@ -56,6 +60,18 @@ TimerError TegasWheel::StopTimer(TimerHandle handle) {
   rec->Unlink();  // works for slot and overflow membership alike
   ++counts_.delete_unlink_ops;
   ReleaseRecord(rec);
+  return TimerError::kOk;
+}
+
+TimerError TegasWheel::RestartTimer(TimerHandle handle, Duration new_interval) {
+  TimerError error = TimerError::kOk;
+  TimerRecord* rec = ResolveForRestart(handle, new_interval, &error);
+  if (rec == nullptr) {
+    return error;
+  }
+  rec->Unlink();
+  StampRestart(rec, new_interval);
+  Place(rec);
   return TimerError::kOk;
 }
 
@@ -75,11 +91,16 @@ std::size_t TegasWheel::PerTickBookkeeping() {
     return 0;
   }
   std::size_t expired = 0;
+  // Nothing can join this slot mid-drain: every start, restart or re-arm is due
+  // after now_, and a due tick a whole cycle out is past covered_until_.
   while (TimerRecord* rec = slot.front()) {
     TWHEEL_ASSERT(rec->expiry_tick == now_);
+    ++expired;
+    if (TryFirePeriodic(rec)) {
+      continue;
+    }
     rec->Unlink();
     Expire(rec);
-    ++expired;
   }
   return expired;
 }

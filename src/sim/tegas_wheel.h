@@ -46,6 +46,9 @@ class TegasWheel final : public TimerServiceBase {
 
   StartResult StartTimer(Duration interval, RequestId request_id) final;
   TimerError StopTimer(TimerHandle handle) final;
+  // In place: unlink from the slot or overflow list, re-stamp, and re-file by
+  // the same slot-vs-overflow rule StartTimer uses. The handle stays valid.
+  TimerError RestartTimer(TimerHandle handle, Duration new_interval) final;
   std::size_t PerTickBookkeeping() final;
   std::string_view name() const final {
     return policy_ == RotatePolicy::kFullCycle ? "tegas-wheel-full"
@@ -69,6 +72,9 @@ class TegasWheel final : public TimerServiceBase {
   }
 
  private:
+  // File an unlinked record by its expiry_tick: into its array slot if the
+  // current cycle covers it, otherwise onto the overflow list.
+  void Place(TimerRecord* rec);
   // Move overflow entries due before `horizon` into the array.
   void DrainOverflow(Tick horizon);
 

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "src/core/hashed_wheel_unsorted.h"
 #include "src/hw/timer_chip.h"
 #include "src/workload/workload.h"
@@ -82,6 +85,30 @@ TEST(ChipAssistedWheelTest, ExpiryDrainSendsFree) {
   EXPECT_EQ(chip.host_interrupts(), 1u) << "freed slot must not interrupt again";
 }
 
+TEST(ChipAssistedWheelTest, RestartMovesBusyBitFromOldQueueToNewQueue) {
+  ChipAssistedWheel chip(64);
+  std::vector<std::pair<Tick, RequestId>> fired;
+  chip.set_expiry_handler([&](RequestId id, Tick when) { fired.push_back({when, id}); });
+  // The only timer of slot A = 10 ...
+  auto handle = chip.StartTimer(10, 1);
+  ASSERT_TRUE(handle.has_value());
+  ASSERT_EQ(chip.busy_notifications(), 1u);
+  ASSERT_EQ(chip.free_notifications(), 0u);
+  // ... moves to the empty slot B = 20: A goes free, B goes busy, one message each.
+  ASSERT_EQ(chip.RestartTimer(handle.value(), 20), TimerError::kOk);
+  EXPECT_EQ(chip.free_notifications(), 1u);
+  EXPECT_EQ(chip.busy_notifications(), 2u);
+  EXPECT_EQ(chip.counts().start_calls, 1u) << "restart went through stop+start";
+  // A's busy bit is clear: the cursor passes it without interrupting the host.
+  chip.AdvanceBy(10);
+  EXPECT_EQ(chip.host_interrupts(), 0u);
+  chip.AdvanceBy(10);
+  EXPECT_EQ(chip.host_interrupts(), 1u);
+  ASSERT_EQ(fired.size(), 1u);
+  EXPECT_EQ(fired[0], (std::pair<Tick, RequestId>{20, 1}));
+  EXPECT_EQ(chip.free_notifications(), 2u);
+}
+
 TEST(ChipAssistedWheelTest, ReentrantRearmKeepsBusyBitConsistent) {
   ChipAssistedWheel chip(64);
   int fires = 0;
@@ -97,6 +124,31 @@ TEST(ChipAssistedWheelTest, ReentrantRearmKeepsBusyBitConsistent) {
   EXPECT_EQ(chip.outstanding(), 0u);
   // After the last expiry the queue drained for good; no interrupts afterwards.
   std::uint64_t interrupts = chip.host_interrupts();
+  chip.AdvanceBy(256);
+  EXPECT_EQ(chip.host_interrupts(), interrupts);
+}
+
+TEST(ChipAssistedWheelTest, PeriodicLapsIntoTheSameQueueSendNoNotifications) {
+  // The StartPeriodic form of the test above: each lap relinks the live record
+  // into the queue being drained, so its busy bit never changes mid-series.
+  ChipAssistedWheel chip(64);
+  std::vector<Tick> fired;
+  chip.set_expiry_handler([&](RequestId, Tick when) { fired.push_back(when); });
+  auto handle = chip.StartPeriodic(64, 1, /*repeat_for=*/3);
+  ASSERT_TRUE(handle.has_value());
+  ASSERT_EQ(chip.busy_notifications(), 1u);
+  chip.AdvanceBy(64 * 2);
+  EXPECT_EQ(fired, (std::vector<Tick>{64, 128}));
+  EXPECT_EQ(chip.busy_notifications(), 1u) << "a lap re-sent busy";
+  EXPECT_EQ(chip.free_notifications(), 0u) << "a lap sent free";
+  EXPECT_EQ(chip.counts().periodic_rearm_relinks, 2u);
+  EXPECT_EQ(chip.counts().start_calls, 1u);
+  // The final lap drains the queue for good: one free, then silence.
+  chip.AdvanceBy(64);
+  EXPECT_EQ(fired.size(), 3u);
+  EXPECT_EQ(chip.free_notifications(), 1u);
+  EXPECT_EQ(chip.StopTimer(handle.value()), TimerError::kNoSuchTimer);
+  const std::uint64_t interrupts = chip.host_interrupts();
   chip.AdvanceBy(256);
   EXPECT_EQ(chip.host_interrupts(), interrupts);
 }

@@ -95,6 +95,32 @@ TEST(TegasWheelTest, StopWorksInBothResidences) {
   EXPECT_EQ(fired, 0u);
 }
 
+TEST(TegasWheelTest, RestartBeyondTheCycleMovesToOverflowInPlace) {
+  TegasWheel wheel(16);
+  std::vector<std::pair<Tick, RequestId>> fired;
+  wheel.set_expiry_handler([&](RequestId id, Tick when) { fired.push_back({when, id}); });
+  auto handle = wheel.StartTimer(5, 1);  // in-cycle slot
+  ASSERT_TRUE(handle.has_value());
+  ASSERT_EQ(wheel.OverflowSizeSlow(), 0u);
+  wheel.AdvanceBy(3);
+  // now = 3, the array covers ticks up to 15: due 3 + 40 = 43 belongs to overflow.
+  ASSERT_EQ(wheel.RestartTimer(handle.value(), 40), TimerError::kOk);
+  EXPECT_EQ(wheel.OverflowSizeSlow(), 1u);
+  // The rotation at tick 16 rescans it and keeps it (43 is past 31); the one at
+  // 32 moves it into the array. Neither touches its expiry tick.
+  wheel.AdvanceBy(13);
+  EXPECT_EQ(wheel.OverflowSizeSlow(), 1u);
+  wheel.AdvanceBy(16);
+  EXPECT_EQ(wheel.OverflowSizeSlow(), 0u);
+  EXPECT_TRUE(fired.empty()) << "fired at the pre-restart deadline";
+  wheel.AdvanceBy(11);
+  ASSERT_EQ(fired.size(), 1u);
+  EXPECT_EQ(fired[0], (std::pair<Tick, RequestId>{43, 1}));
+  // The move relinked the record in place rather than stopping and starting it.
+  EXPECT_EQ(wheel.counts().start_calls, 1u);
+  EXPECT_EQ(wheel.counts().restart_calls, 1u);
+}
+
 TEST(TegasWheelTest, MatchesPredictedTraceOnRandomWorkload) {
   // The TEGAS wheel is also an exact timer service; pin it with the differential
   // machinery.

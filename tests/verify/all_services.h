@@ -1,7 +1,8 @@
 // Shared enumeration of every TimerService implementation in the repository, for
 // the model-checking suite: the seven schemes (with every variant the facade
-// exposes), the global-lock wrapper, and the sharded wheel in one- and multi-shard
-// configurations. Configurations mirror tests/integration/differential_test.cc:
+// exposes), the Section 4.2 TEGAS wheel in both rotation policies, the Appendix
+// A.1 chip-assisted wheel, the global-lock wrapper, and the sharded wheel in one-
+// and multi-shard configurations. Configurations mirror tests/integration/differential_test.cc:
 // spans comfortably exceed the driver's default max_interval of 300.
 
 #ifndef TWHEEL_TESTS_VERIFY_ALL_SERVICES_H_
@@ -17,6 +18,8 @@
 #include "src/concurrent/sharded_wheel.h"
 #include "src/core/hashed_wheel_unsorted.h"
 #include "src/core/timer_facility.h"
+#include "src/hw/timer_chip.h"
+#include "src/sim/tegas_wheel.h"
 
 namespace twheel::verify_tests {
 
@@ -51,6 +54,19 @@ inline std::vector<ServiceCase> AllServiceCases() {
     cases.push_back(
         {label, [id] { return MakeTimerService(VerifyConfig(id)); }, true});
   }
+  // Wheel 64, like VerifyConfig: the driver's intervals overflow the TEGAS
+  // cycle and lap the chip's table, so both overflow paths are exercised.
+  cases.push_back({"tegas_full",
+                   [] { return std::make_unique<sim::TegasWheel>(64); }, true});
+  cases.push_back({"tegas_half",
+                   [] {
+                     return std::make_unique<sim::TegasWheel>(
+                         64, sim::RotatePolicy::kHalfCycle);
+                   },
+                   true});
+  cases.push_back({"chip_scheme6",
+                   [] { return std::make_unique<hw::ChipAssistedWheel>(64); },
+                   true});
   cases.push_back({"locked_scheme6",
                    [] {
                      return std::make_unique<concurrent::LockedService>(

@@ -11,8 +11,8 @@
 // stop+start through the public interface, which cannot recover the client's
 // cookie — it silently restarted the timer with RequestId{0}, so the eventual
 // expiry delivered the wrong cookie. The default now refuses with
-// kNotSupported; TimerServiceBase's arena-aware fallback recovers the cookie
-// (and a periodic's cadence) before the stop.
+// kNotSupported; every arena-backed scheme relinks in place, keeping cookie,
+// cadence and handle.
 //
 // Plus counter pins for the tentpole contract: a periodic's expiry-path re-arm
 // is an allocation-free relink — one start_call total, every non-final lap a
@@ -162,97 +162,6 @@ TEST(PeriodicRegressionTest, DefaultRestartRefusesInsteadOfLosingTheCookie) {
   }
   ASSERT_EQ(fired.size(), 1u);
   EXPECT_EQ(fired[0], 77u);
-}
-
-// A minimal TimerServiceBase derivative that does NOT override RestartTimer,
-// so restarts go through the arena-aware stop+start fallback (the path
-// sim::TegasWheel and hw::ChipAssistedWheel inherit).
-class FallbackService final : public TimerServiceBase {
- public:
-  StartResult StartTimer(Duration interval, RequestId request_id) override {
-    ++counts_.start_calls;
-    if (interval == 0) {
-      return TimerError::kZeroInterval;
-    }
-    TimerRecord* rec = AllocateRecord(interval, request_id);
-    if (rec == nullptr) {
-      return TimerError::kNoCapacity;
-    }
-    live_.push_back(rec);
-    return rec->self;
-  }
-  TimerError StopTimer(TimerHandle handle) override {
-    ++counts_.stop_calls;
-    TimerRecord* rec = Resolve(handle);
-    if (rec == nullptr) {
-      return TimerError::kNoSuchTimer;
-    }
-    std::erase(live_, rec);
-    ReleaseRecord(rec);
-    return TimerError::kOk;
-  }
-  std::size_t PerTickBookkeeping() override {
-    ++counts_.ticks;
-    ++now_;
-    std::size_t fired = 0;
-    // No in-place RestartTimer override, so no TryFirePeriodic fast path: due
-    // records go through Expire(), whose stop+start safety net re-arms
-    // periodics (re-armed records re-enter live_ with a strictly future
-    // deadline, so the swap-remove scan never revisits them this tick).
-    for (std::size_t i = 0; i < live_.size();) {
-      TimerRecord* rec = live_[i];
-      if (rec->expiry_tick != now_) {
-        ++i;
-        continue;
-      }
-      live_[i] = live_.back();
-      live_.pop_back();
-      Expire(rec);
-      ++fired;
-    }
-    return fired;
-  }
-  std::string_view name() const override { return "fallback"; }
-  SpaceProfile Space() const override { return {}; }
-
- private:
-  std::vector<TimerRecord*> live_;
-};
-
-TEST(PeriodicRegressionTest, BaseFallbackRestartPreservesCookieAndCadence) {
-  FallbackService service;
-  std::vector<std::pair<RequestId, Tick>> fired;
-  service.set_expiry_handler(
-      [&fired](RequestId id, Tick when) { fired.emplace_back(id, when); });
-
-  // One-shot: the fallback burns the handle (stop+start recycles the slot) but
-  // must keep the cookie — the pre-fix default delivered RequestId{0} here.
-  StartResult one_shot = service.StartTimer(20, /*request_id=*/91);
-  ASSERT_TRUE(one_shot.has_value());
-  ASSERT_EQ(service.RestartTimer(one_shot.value(), 4), TimerError::kOk);
-  for (int i = 0; i < 4; ++i) {
-    service.PerTickBookkeeping();
-  }
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0], (std::pair<RequestId, Tick>{91, 4}));
-
-  // Periodic: the fallback must carry the cadence and remaining budget across
-  // the restart — the restarted timer fires at now + 3, then keeps lapping
-  // every 5 ticks until its budget of 3 is spent.
-  fired.clear();
-  StartResult periodic = service.StartPeriodic(5, /*request_id=*/92,
-                                               /*repeat_for=*/3);
-  ASSERT_TRUE(periodic.has_value());
-  ASSERT_EQ(service.RestartTimer(periodic.value(), 3), TimerError::kOk);
-  const Tick base = service.now();
-  for (int i = 0; i < 20; ++i) {
-    service.PerTickBookkeeping();
-  }
-  ASSERT_EQ(fired.size(), 3u);
-  EXPECT_EQ(fired[0], (std::pair<RequestId, Tick>{92, base + 3}));
-  EXPECT_EQ(fired[1], (std::pair<RequestId, Tick>{92, base + 8}));
-  EXPECT_EQ(fired[2], (std::pair<RequestId, Tick>{92, base + 13}));
-  EXPECT_EQ(service.outstanding(), 0u);
 }
 
 // ---------------------------------------------------------------------------
