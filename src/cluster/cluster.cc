@@ -24,14 +24,6 @@ TimerCluster::TimerCluster(const ClusterConfig& config, FaultSchedule schedule)
   assert(config_.nodes > 0);
   assert(config_.failover_delay >= 1);
   assert(config_.retry_every >= 1);
-  // Simulator::After needs delay >= 1; clamp rather than silently losing
-  // deliveries.
-  if (config_.link.delay_lo < 1) {
-    config_.link.delay_lo = 1;
-  }
-  if (config_.link.delay_hi < config_.link.delay_lo) {
-    config_.link.delay_hi = config_.link.delay_lo;
-  }
   // Synchronous transport is the zero-fault torture mode; a schedule would
   // have nothing to act on (and nothing gates direct calls).
   assert(!config_.synchronous_transport || schedule_.empty());
@@ -43,9 +35,7 @@ TimerCluster::TimerCluster(const ClusterConfig& config, FaultSchedule schedule)
   }
 
   if (!config_.synchronous_transport) {
-    FacilityConfig net_config;
-    net_config.scheme = SchemeId::kScheme3Heap;
-    network_ = std::make_unique<sim::Simulator>(MakeTimerService(net_config));
+    network_ = std::make_unique<sim::Simulator>(net::MakeNetworkService());
     rng::SplitMix64 seeder(config_.seed ^ 0x5EEDC4A77E1DULL);
     up_.resize(config_.nodes);
     down_.resize(config_.nodes);
@@ -150,16 +140,15 @@ void TimerCluster::SendNodeToNode(NodeId from, NodeId to, net::Packet packet) {
 
 // --- client ops --------------------------------------------------------------
 
-std::vector<NodeId> TimerCluster::ReplicaSetFor(
-    std::uint64_t key, std::uint32_t replication) const {
+ReplicaSet TimerCluster::ReplicaSetFor(std::uint64_t key,
+                                       std::uint32_t replication) const {
   const std::size_t n = nodes_.size();
   std::uint32_t r = std::max<std::uint32_t>(1, replication);
   r = std::min<std::uint32_t>(r, kMaxReplication);
   r = std::min<std::uint32_t>(r, static_cast<std::uint32_t>(n));
   rng::SplitMix64 hash(key ^ (config_.seed * 0x9E3779B97F4A7C15ULL));
   const NodeId start = static_cast<NodeId>(hash.Next() % n);
-  std::vector<NodeId> set;
-  set.reserve(r);
+  ReplicaSet set;
   for (std::uint32_t i = 0; i < r; ++i) {
     set.push_back(static_cast<NodeId>((start + i) % n));
   }
@@ -175,7 +164,6 @@ bool TimerCluster::Set(std::uint64_t key, Duration interval,
   if (interval == 0) {
     return false;
   }
-  const std::vector<NodeId> set = ReplicaSetFor(key, replication);
   PendingTimer& entry = timers_[key];
   const bool was_live =
       entry.gen != 0 && entry.state == PendingTimer::State::kLive;
@@ -187,10 +175,7 @@ bool TimerCluster::Set(std::uint64_t key, Duration interval,
   }
   ++entry.gen;
   entry.deadline = now_ + interval;
-  entry.replication = static_cast<std::uint32_t>(set.size());
-  for (std::size_t i = 0; i < set.size(); ++i) {
-    entry.replicas[i] = set[i];
-  }
+  entry.replicas = ReplicaSetFor(key, replication);
   entry.arm_acked = 0;
   entry.disarm_acked = 0;
   entry.disarm_round = 0;
@@ -201,7 +186,7 @@ bool TimerCluster::Set(std::uint64_t key, Duration interval,
   ++stats_.accepted;
   events_.push_back({ClientEventKind::kAccepted, key, entry.gen, now_,
                      entry.deadline});
-  for (std::uint32_t rank = 0; rank < entry.replication; ++rank) {
+  for (std::uint32_t rank = 0; rank < entry.replicas.size(); ++rank) {
     SendArm(key, entry, rank);
   }
   QueueRetry(key, entry);
@@ -225,7 +210,7 @@ bool TimerCluster::Restart(std::uint64_t key, Duration interval) {
   ++stats_.restarts;
   events_.push_back({ClientEventKind::kRestarted, key, entry.gen, now_,
                      entry.deadline});
-  for (std::uint32_t rank = 0; rank < entry.replication; ++rank) {
+  for (std::uint32_t rank = 0; rank < entry.replicas.size(); ++rank) {
     SendArm(key, entry, rank);
   }
   QueueRetry(key, entry);
@@ -258,7 +243,7 @@ void TimerCluster::SendArm(const std::uint64_t key, const PendingTimer& entry,
   packet.seq = key;
   packet.type = net::PacketType::kClusterArm;
   packet.arg0 = entry.deadline;
-  packet.arg1 = ArmPayload(entry.gen, rank, entry.replication);
+  packet.arg1 = ArmPayload(entry.gen, rank, entry.replicas.size());
   ++stats_.arm_sends;
   SendToNode(entry.replicas[rank], packet);
 }
@@ -270,7 +255,7 @@ void TimerCluster::BeginDisarm(std::uint64_t key, PendingTimer& entry,
   entry.disarm_done = false;
   entry.disarm_round = 0;
   entry.disarm_fired_flag = fired;
-  const std::uint32_t full = (1u << entry.replication) - 1;
+  const std::uint32_t full = (1u << entry.replicas.size()) - 1;
   if ((entry.disarm_acked & full) == full) {
     // Single replica that itself fired: nothing left to disarm.
     entry.disarm_done = true;
@@ -282,7 +267,7 @@ void TimerCluster::BeginDisarm(std::uint64_t key, PendingTimer& entry,
 }
 
 void TimerCluster::SendDisarms(std::uint64_t key, PendingTimer& entry) {
-  for (std::uint32_t rank = 0; rank < entry.replication; ++rank) {
+  for (std::uint32_t rank = 0; rank < entry.replicas.size(); ++rank) {
     if ((entry.disarm_acked >> rank) & 1u) {
       continue;
     }
@@ -317,9 +302,9 @@ void TimerCluster::CoordRetryScan() {
     entry.retry_queued = false;
     bool again = false;
     if (entry.state == PendingTimer::State::kLive) {
-      const std::uint32_t full = (1u << entry.replication) - 1;
+      const std::uint32_t full = (1u << entry.replicas.size()) - 1;
       if ((entry.arm_acked & full) != full) {
-        for (std::uint32_t rank = 0; rank < entry.replication; ++rank) {
+        for (std::uint32_t rank = 0; rank < entry.replicas.size(); ++rank) {
           if (!((entry.arm_acked >> rank) & 1u)) {
             ++stats_.arm_retries;
             SendArm(key, entry, rank);
@@ -350,7 +335,7 @@ void TimerCluster::RearmNodeTimers(NodeId node) {
     if (entry.state != PendingTimer::State::kLive) {
       continue;
     }
-    for (std::uint32_t rank = 0; rank < entry.replication; ++rank) {
+    for (std::uint32_t rank = 0; rank < entry.replicas.size(); ++rank) {
       if (entry.replicas[rank] != node) {
         continue;
       }
@@ -387,7 +372,7 @@ void TimerCluster::OnCoordMessage(const net::Packet& packet) {
       if (entry.state != PendingTimer::State::kLive && !entry.disarm_done &&
           entry.gen == static_cast<std::uint32_t>(packet.arg0)) {
         entry.disarm_acked |= 1u << (packet.arg1 & 0xFF);
-        const std::uint32_t full = (1u << entry.replication) - 1;
+        const std::uint32_t full = (1u << entry.replicas.size()) - 1;
         if ((entry.disarm_acked & full) == full) {
           entry.disarm_done = true;
           --pending_disarms_;

@@ -40,6 +40,7 @@
 #ifndef TWHEEL_SRC_CLUSTER_CLUSTER_H_
 #define TWHEEL_SRC_CLUSTER_CLUSTER_H_
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -61,6 +62,27 @@ namespace twheel::cluster {
 
 inline constexpr std::uint32_t kMaxReplication = 8;
 inline constexpr std::uint32_t kMaxLeaseExtensions = 3;
+
+// The R distinct nodes holding a key, in rank order. Held by value in a
+// fixed-capacity array, so computing a placement never allocates.
+class ReplicaSet {
+ public:
+  void push_back(NodeId node) { nodes_[size_++] = node; }
+
+  std::uint32_t size() const { return size_; }
+  NodeId operator[](std::uint32_t rank) const { return nodes_[rank]; }
+  const NodeId* begin() const { return nodes_.data(); }
+  const NodeId* end() const { return nodes_.data() + size_; }
+
+  friend bool operator==(const ReplicaSet& a, const ReplicaSet& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  std::array<NodeId, kMaxReplication> nodes_{};
+  std::uint32_t size_ = 0;
+};
+
 // connection_id of packets the coordinator sends (node ids are dense from 0).
 inline constexpr std::uint32_t kCoordinatorId = 0xFFFFFFFFu;
 
@@ -187,8 +209,7 @@ class TimerCluster {
 
   // The R distinct nodes holding `key`, rank order. Pure function of
   // (key, replication, nodes, seed) — nodes compute the same set locally.
-  std::vector<NodeId> ReplicaSetFor(std::uint64_t key,
-                                    std::uint32_t replication) const;
+  ReplicaSet ReplicaSetFor(std::uint64_t key, std::uint32_t replication) const;
 
   bool node_alive(NodeId node) const { return nodes_[node].alive; }
   std::size_t node_count() const { return nodes_.size(); }
@@ -230,8 +251,7 @@ class TimerCluster {
   struct PendingTimer {
     std::uint32_t gen = 0;
     Tick deadline = 0;
-    std::uint32_t replication = 1;
-    std::array<NodeId, kMaxReplication> replicas{};
+    ReplicaSet replicas;             // rank order
     std::uint32_t arm_acked = 0;     // bitmask by rank
     std::uint32_t disarm_acked = 0;  // bitmask by rank
     enum class State : std::uint8_t { kLive, kFired, kCancelled };

@@ -10,26 +10,43 @@
 // order-insensitive — two timer schemes that dispatch the same tick's expiries in
 // different orders still produce byte-identical network behaviour, which the
 // cross-scheme protocol tests rely on.
+//
+// Packets in flight ride the paper's Scheme 4: every delay is below
+// MaxInterval = delay_hi + 1, so a circular array of delay_hi + 1 slots (a
+// packet due at tick d sits in slot d mod (delay_hi + 1)) holds them with O(1)
+// enqueue and O(1) delivery. The network simulator carries one event per
+// non-empty slot, not one per packet, so a channel never has more than
+// delay_hi - delay_lo + 1 events pending. A slot is a FIFO: packets due on the
+// same tick reach the receiver in send order.
 
 #ifndef TWHEEL_SRC_NET_CHANNEL_H_
 #define TWHEEL_SRC_NET_CHANNEL_H_
 
 #include <atomic>
 #include <functional>
+#include <memory>
 #include <utility>
+#include <vector>
 
+#include "src/base/assert.h"
+#include "src/core/timer_service.h"
 #include "src/net/types.h"
 #include "src/rng/rng.h"
 #include "src/sim/simulator.h"
 
 namespace twheel::net {
 
+// The event set every network simulator runs on: a fixed, range-unbounded
+// scheme (Scheme 3 heap), so the host scheme's op counts stay pure.
+std::unique_ptr<TimerService> MakeNetworkService();
+
 class Channel {
  public:
   using Receiver = std::function<void(const Packet&)>;
 
-  Channel(sim::Simulator& network, std::uint64_t seed, ChannelConfig config)
-      : network_(network), seed_(seed), config_(config) {}
+  // The delay window is clamped to 1 <= delay_lo <= delay_hi: a simulator event
+  // needs a delay of at least one tick, and an empty window has no delay to draw.
+  Channel(sim::Simulator& network, std::uint64_t seed, ChannelConfig config);
 
   void set_receiver(Receiver receiver) { receiver_ = std::move(receiver); }
 
@@ -37,7 +54,8 @@ class Channel {
   // packet-identity-determined delay in [delay_lo, delay_hi].
   void Send(const Packet& packet) {
     sent_.fetch_add(1, std::memory_order_relaxed);
-    rng::SplitMix64 hash(seed_ ^ PacketFingerprint(packet, network_.now()));
+    const Tick now = network_.now();
+    rng::SplitMix64 hash(seed_ ^ PacketFingerprint(packet, now));
     const double loss_draw = static_cast<double>(hash.Next() >> 11) * 0x1.0p-53;
     if (loss_draw < config_.loss_probability) {
       dropped_.fetch_add(1, std::memory_order_relaxed);
@@ -45,10 +63,17 @@ class Channel {
     }
     const Duration spread = config_.delay_hi - config_.delay_lo + 1;
     const Duration delay = config_.delay_lo + hash.Next() % spread;
-    network_.After(delay, [this, packet] {
-      delivered_.fetch_add(1, std::memory_order_relaxed);
-      receiver_(packet);
-    });
+    const Tick due = now + delay;
+    std::vector<Packet>& slot = ring_[due % ring_.size()];
+    if (slot.empty()) {
+      // The capture is 16 trivially-copyable bytes: it fits std::function's
+      // inline buffer, so scheduling a slot allocates nothing.
+      const sim::EventToken event =
+          network_.After(delay, [this, due] { DeliverSlot(due); });
+      TWHEEL_ASSERT_MSG(event.valid(),
+                        "network simulator refused a channel slot event");
+    }
+    slot.push_back(packet);
   }
 
   // Counter snapshots. Send()/delivery themselves stay single-threaded by
@@ -66,6 +91,12 @@ class Channel {
   }
 
  private:
+  // Hands every packet of the slot due now to the receiver, in send order. The
+  // slot is swapped into `delivering_` first, so its capacity is recycled and a
+  // receiver may Send on this channel: 1 <= delay <= delay_hi puts the new
+  // packet in another slot.
+  void DeliverSlot(Tick due);
+
   // splitmix64-style finalizer: full-width multiply + xor-shift avalanche, so
   // every input bit affects every output bit.
   static std::uint64_t Mix(std::uint64_t x) {
@@ -97,6 +128,8 @@ class Channel {
   std::uint64_t seed_;
   ChannelConfig config_;
   Receiver receiver_;
+  std::vector<std::vector<Packet>> ring_;  // delay_hi + 1 slots, by due tick
+  std::vector<Packet> delivering_;         // the slot being delivered
   std::atomic<std::uint64_t> sent_{0};
   std::atomic<std::uint64_t> dropped_{0};
   std::atomic<std::uint64_t> delivered_{0};

@@ -1,17 +1,6 @@
 #include "src/net/server.h"
 
 namespace twheel::net {
-namespace {
-
-std::unique_ptr<TimerService> MakeNetworkService() {
-  // Packet propagation events use a fixed, range-unbounded scheme so the host
-  // scheme's op counts stay pure.
-  FacilityConfig config;
-  config.scheme = SchemeId::kScheme3Heap;
-  return MakeTimerService(config);
-}
-
-}  // namespace
 
 Server::Server(const ServerConfig& config)
     : host_(MakeTimerService(config.host_scheme)),

@@ -4,17 +4,6 @@
 #include <utility>
 
 namespace twheel::net {
-namespace {
-
-std::unique_ptr<TimerService> MakeNetworkService() {
-  // Packet propagation uses a fixed, range-unbounded scheme so the host
-  // scheme's op counts stay pure (same choice as net::Server).
-  FacilityConfig config;
-  config.scheme = SchemeId::kScheme3Heap;
-  return MakeTimerService(config);
-}
-
-}  // namespace
 
 TimerWorkload::TimerWorkload(const TimerWorkloadConfig& config,
                              Channel& to_server)

@@ -64,7 +64,9 @@ struct Packet {
 
 struct ChannelConfig {
   double loss_probability = 0.05;
-  Duration delay_lo = 2;   // one-way latency, uniform in [lo, hi] ticks
+  // One-way latency, uniform in [lo, hi] ticks. Channel clamps the window to
+  // 1 <= lo <= hi and keeps a ring of hi + 1 slots, so hi stays small.
+  Duration delay_lo = 2;
   Duration delay_hi = 10;
 };
 

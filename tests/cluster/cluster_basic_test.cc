@@ -145,7 +145,7 @@ TEST(ClusterBasicTest, ReplicaSetsAreDistinctRankedAndDeterministic) {
   TimerCluster cluster(config);
   bool node_used[4] = {false, false, false, false};
   for (std::uint64_t key = 0; key < 512; ++key) {
-    const std::vector<NodeId> set = cluster.ReplicaSetFor(key, 2);
+    const ReplicaSet set = cluster.ReplicaSetFor(key, 2);
     ASSERT_EQ(set.size(), 2u);
     EXPECT_NE(set[0], set[1]);
     EXPECT_LT(set[0], 4u);

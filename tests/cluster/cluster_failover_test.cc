@@ -35,7 +35,7 @@ ClusterConfig LosslessConfig(std::uint64_t seed) {
 // The replica placement is a pure function of (key, R, nodes, seed), so a
 // throwaway cluster answers rank questions before the real one is built with
 // its kill schedule.
-std::vector<NodeId> RanksFor(const ClusterConfig& config, std::uint64_t key) {
+ReplicaSet RanksFor(const ClusterConfig& config, std::uint64_t key) {
   TimerCluster probe(config);
   return probe.ReplicaSetFor(key, config.replication_factor);
 }
@@ -76,7 +76,7 @@ TEST(ClusterFailoverTest, UnfaultedOwnerPopsAtTheDeadline) {
 
 TEST(ClusterFailoverTest, KilledOwnerFailsOverAfterExactlyOneDelay) {
   const ClusterConfig config = LosslessConfig(7);
-  const std::vector<NodeId> ranks = RanksFor(config, 1);
+  const ReplicaSet ranks = RanksFor(config, 1);
   const Fired fired =
       RunWithKills(config, 1, {{20, FaultKind::kKill, ranks[0]}});
   ASSERT_EQ(fired.pops.size(), 1u) << "exactly one survivor delivery";
@@ -86,7 +86,7 @@ TEST(ClusterFailoverTest, KilledOwnerFailsOverAfterExactlyOneDelay) {
 
 TEST(ClusterFailoverTest, TwoKillsDescendTheLadderTwice) {
   const ClusterConfig config = LosslessConfig(7);
-  const std::vector<NodeId> ranks = RanksFor(config, 1);
+  const ReplicaSet ranks = RanksFor(config, 1);
   const Fired fired = RunWithKills(config, 1,
                                    {{15, FaultKind::kKill, ranks[0]},
                                     {22, FaultKind::kKill, ranks[1]}});
@@ -101,7 +101,7 @@ TEST(ClusterFailoverTest, TakeoverIsNeverEarlyAndAlwaysWithinOneDelay) {
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
     const ClusterConfig config = LosslessConfig(seed);
     const std::uint64_t key = 100 + seed;
-    const std::vector<NodeId> ranks = RanksFor(config, key);
+    const ReplicaSet ranks = RanksFor(config, key);
     const Tick kill_at = 3 + (seed * 5) % (kInterval - 4);
     const Fired fired =
         RunWithKills(config, key, {{kill_at, FaultKind::kKill, ranks[0]}});
@@ -117,7 +117,7 @@ TEST(ClusterFailoverTest, StandbyLeasesAreReapedWithoutDuplicates) {
   // rank-2 lease before it pops: one delivery, zero duplicate receipts, and a
   // lease_disarms count showing the reap actually happened.
   const ClusterConfig config = LosslessConfig(7);
-  const std::vector<NodeId> ranks = RanksFor(config, 1);
+  const ReplicaSet ranks = RanksFor(config, 1);
   FaultSchedule schedule;
   schedule.events = {{20, FaultKind::kKill, ranks[0]}};
   TimerCluster cluster(config, schedule);

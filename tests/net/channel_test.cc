@@ -1,23 +1,27 @@
 // Channel-level tests: packet-identity hashing (order insensitivity), loss-rate
-// statistics, and delay bounds.
+// statistics, delay bounds, and the delay ring (one network event per due tick,
+// FIFO within a tick, wrap-around, re-entrant sends).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "src/core/timer_facility.h"
 #include "src/net/channel.h"
 
 namespace twheel::net {
 namespace {
 
 std::unique_ptr<sim::Simulator> MakeNetSim() {
-  FacilityConfig config;
-  config.scheme = SchemeId::kScheme3Heap;
-  return std::make_unique<sim::Simulator>(MakeTimerService(config));
+  return std::make_unique<sim::Simulator>(MakeNetworkService());
+}
+
+ChannelConfig Lossless(Duration lo, Duration hi) {
+  return ChannelConfig{.loss_probability = 0.0, .delay_lo = lo, .delay_hi = hi};
 }
 
 TEST(ChannelTest, DeliversWithinConfiguredDelayWindow) {
@@ -216,6 +220,156 @@ TEST(ChannelTest, DifferentSeedsDifferentFates) {
     return channel.dropped();
   };
   EXPECT_NE(run(1001), run(1002));
+}
+
+TEST(ChannelTest, ZeroDelayWindowIsClampedNotLost) {
+  // Regression: with delay_lo = 0 a packet could draw delay 0, the network
+  // simulator refused the zero-tick event, and Send dropped it on the floor —
+  // counted as neither dropped nor delivered, so conservation failed. The
+  // channel clamps its window to 1 <= delay_lo <= delay_hi instead.
+  auto network = MakeNetSim();
+  Channel channel(*network, 21, Lossless(0, 3));
+  std::vector<Tick> delays;
+  channel.set_receiver(
+      [&](const Packet& p) { delays.push_back(network->now() - p.arg0); });
+  constexpr std::uint64_t kPackets = 1000;
+  for (std::uint64_t seq = 0; seq < kPackets; ++seq) {
+    channel.Send(Packet{1, seq, PacketType::kData, network->now()});
+    if ((seq & 3) == 0) {
+      network->Step();
+    }
+  }
+  network->RunUntilIdle();
+  EXPECT_EQ(channel.sent(), kPackets);
+  EXPECT_EQ(channel.dropped(), 0u);
+  EXPECT_EQ(channel.delivered(), kPackets);
+  ASSERT_EQ(delays.size(), kPackets);
+  for (Tick d : delays) {
+    EXPECT_GE(d, 1u);
+    EXPECT_LE(d, 3u);
+  }
+
+  // An inverted window collapses onto delay_lo.
+  auto other = MakeNetSim();
+  Channel inverted(*other, 22, Lossless(4, 2));
+  std::vector<Tick> arrivals;
+  inverted.set_receiver([&](const Packet&) { arrivals.push_back(other->now()); });
+  for (std::uint64_t seq = 0; seq < 50; ++seq) {
+    inverted.Send(Packet{1, seq, PacketType::kData});
+  }
+  other->RunUntilIdle();
+  EXPECT_EQ(arrivals, std::vector<Tick>(50, 4));
+}
+
+TEST(ChannelTest, SameTickPacketsArriveInSendOrder) {
+  auto network = MakeNetSim();
+  Channel channel(*network, 23, Lossless(2, 6));
+  std::vector<std::pair<Tick, std::uint64_t>> arrivals;  // (tick, seq)
+  channel.set_receiver(
+      [&](const Packet& p) { arrivals.emplace_back(network->now(), p.seq); });
+  std::uint64_t seq = 0;
+  for (int tick = 0; tick < 20; ++tick) {
+    for (int i = 0; i < 50; ++i) {
+      channel.Send(Packet{static_cast<std::uint32_t>(i % 3), seq++,
+                          PacketType::kData});
+    }
+    network->Step();
+  }
+  network->RunUntilIdle();
+  ASSERT_EQ(arrivals.size(), seq);
+  for (std::size_t i = 1; i < arrivals.size(); ++i) {
+    ASSERT_LE(arrivals[i - 1].first, arrivals[i].first);
+    if (arrivals[i - 1].first == arrivals[i].first) {
+      // seq grows with send order.
+      EXPECT_LT(arrivals[i - 1].second, arrivals[i].second)
+          << "packets due on tick " << arrivals[i].first << " reordered";
+    }
+  }
+}
+
+TEST(ChannelTest, OneNetworkEventPerDueTickNotPerPacket) {
+  // Guards the delay ring against falling back to one simulator event per
+  // packet: 10k packets sent on one tick occupy at most one event per
+  // distinct delay.
+  auto network = MakeNetSim();
+  const ChannelConfig config = Lossless(2, 10);
+  Channel channel(*network, 24, config);
+  std::uint64_t received = 0;
+  channel.set_receiver([&](const Packet&) { ++received; });
+  constexpr std::uint64_t kPackets = 10000;
+  for (std::uint64_t seq = 0; seq < kPackets; ++seq) {
+    channel.Send(Packet{static_cast<std::uint32_t>(seq % 97), seq,
+                        PacketType::kData});
+  }
+  EXPECT_LE(network->pending(), config.delay_hi - config.delay_lo + 1);
+  EXPECT_GT(network->pending(), 0u);
+  network->RunUntilIdle();
+  EXPECT_EQ(network->pending(), 0u);
+  EXPECT_EQ(received, kPackets);
+  EXPECT_EQ(channel.delivered(), kPackets);
+}
+
+TEST(ChannelTest, ReceiverResendingIntoItsOwnChannelSeesEachPacketOnce) {
+  // A receiver that sends on the channel it is being delivered from (the
+  // cluster's in-handler re-arms do this) must neither lose nor repeat a
+  // packet: the new packet lands in another slot of the ring.
+  auto network = MakeNetSim();
+  ChannelConfig config;
+  config.loss_probability = 0.1;
+  config.delay_lo = 1;
+  config.delay_hi = 4;
+  Channel channel(*network, 25, config);
+  constexpr std::uint64_t kFirst = 2000;
+  constexpr std::uint64_t kHops = 3;  // each packet is forwarded twice
+  std::vector<int> seen(kFirst * kHops, 0);
+  channel.set_receiver([&](const Packet& p) {
+    ++seen[p.seq];
+    if (p.seq + kFirst < kFirst * kHops) {
+      channel.Send(Packet{p.connection_id, p.seq + kFirst, PacketType::kData});
+    }
+  });
+  for (std::uint64_t seq = 0; seq < kFirst; ++seq) {
+    channel.Send(Packet{static_cast<std::uint32_t>(seq % 11), seq,
+                        PacketType::kData});
+    if ((seq & 15) == 0) {
+      network->Step();
+    }
+  }
+  network->RunUntilIdle();
+  std::uint64_t received = 0;
+  for (int count : seen) {
+    ASSERT_LE(count, 1);
+    received += static_cast<std::uint64_t>(count);
+  }
+  EXPECT_EQ(received, channel.delivered());
+  EXPECT_EQ(channel.sent(), channel.dropped() + channel.delivered());
+  EXPECT_GT(channel.sent(), kFirst * 2) << "forwarding never happened";
+  EXPECT_GT(channel.dropped(), 0u);
+}
+
+TEST(ChannelTest, DelaysStayInWindowAcrossRingWrapAround) {
+  // Sends on every tick for many laps of the (delay_hi + 1)-slot ring.
+  auto network = MakeNetSim();
+  const ChannelConfig config = Lossless(3, 7);
+  Channel channel(*network, 26, config);
+  std::uint64_t received = 0;
+  channel.set_receiver([&](const Packet& p) {
+    ++received;
+    const Tick delay = network->now() - p.arg0;
+    EXPECT_GE(delay, config.delay_lo);
+    EXPECT_LE(delay, config.delay_hi);
+  });
+  const Tick ticks = 5 * (config.delay_hi + 1);
+  std::uint64_t seq = 0;
+  for (Tick t = 0; t < ticks; ++t) {
+    for (int i = 0; i < 8; ++i) {
+      channel.Send(Packet{2, seq++, PacketType::kData, network->now()});
+    }
+    network->Step();
+  }
+  network->RunUntilIdle();
+  EXPECT_EQ(received, seq);
+  EXPECT_EQ(channel.delivered(), seq);
 }
 
 }  // namespace

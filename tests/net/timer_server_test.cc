@@ -30,8 +30,7 @@ FacilityConfig HostScheme(SchemeId id) {
 // with the host and network clocks stepped in lockstep.
 struct ServerRig {
   explicit ServerRig(SchemeId scheme = SchemeId::kScheme6HashedUnsorted)
-      : network(std::make_unique<sim::Simulator>(
-            MakeTimerService(HostScheme(SchemeId::kScheme3Heap)))),
+      : network(std::make_unique<sim::Simulator>(MakeNetworkService())),
         downlink(*network, /*seed=*/1,
                  ChannelConfig{.loss_probability = 0.0, .delay_lo = 1,
                                .delay_hi = 1}),
@@ -300,8 +299,7 @@ TEST(TimerServerPoolTest, ManualPoolPreservesProtocolSemantics) {
   // routes through DispatchPool::AdvanceTo, so every callback was dispatched
   // by a drainer thread. Protocol results must be identical to the
   // single-threaded path.
-  sim::Simulator network(
-      MakeTimerService(HostScheme(SchemeId::kScheme3Heap)));
+  sim::Simulator network(MakeNetworkService());
   Channel downlink(network, /*seed=*/1,
                    ChannelConfig{.loss_probability = 0.0, .delay_lo = 1,
                                  .delay_hi = 1});
@@ -347,8 +345,7 @@ TEST(TimerServerPoolTest, TickerPoolDeliversWithoutExternalTicks) {
   // touch the simulator while drainers may call Channel::Send (the send mutex
   // serializes senders, not Send vs Step), so callbacks are flushed after
   // Stop. fires_sent counts what the drainers handed to the channel.
-  sim::Simulator network(
-      MakeTimerService(HostScheme(SchemeId::kScheme3Heap)));
+  sim::Simulator network(MakeNetworkService());
   Channel downlink(network, /*seed=*/1,
                    ChannelConfig{.loss_probability = 0.0, .delay_lo = 1,
                                  .delay_hi = 1});

@@ -111,12 +111,7 @@ TEST(WireTest, SeededGarbageNeverTripsTheDecoder) {
 TEST(WireTest, ServerOnWireCountsRejectsAndStaysAlive) {
   FacilityConfig host_config;
   host_config.scheme = SchemeId::kScheme6HashedUnsorted;
-  auto network = std::make_unique<sim::Simulator>(
-      MakeTimerService([] {
-        FacilityConfig c;
-        c.scheme = SchemeId::kScheme3Heap;
-        return c;
-      }()));
+  auto network = std::make_unique<sim::Simulator>(MakeNetworkService());
   Channel downlink(*network, /*seed=*/1,
                    ChannelConfig{.loss_probability = 0.0, .delay_lo = 1,
                                  .delay_hi = 1});
