@@ -48,10 +48,10 @@
 # wire-decode robustness, and
 # the channel counter-snapshot race — the last two are exactly the suites the
 # ASan/UBSan and TSan legs exist to arm) are exercised plain, under ASan+UBSan,
-# and under TSan on every gate run. The `net`-labelled tests are all five
+# and under TSan on every gate run. The `net`-labelled tests are all six
 # tests/net/ suites (net_test, channel_test, backoff_test, timer_server_test,
-# wire_test: the transport, its delay ring, the timer server and the wire
-# codec). `ctest -L restart` / `ctest -L periodic` / `ctest -L mpmc` /
+# session_table_test, wire_test: the transport, its delay ring, the timer
+# server, its session table and the wire codec). `ctest -L restart` / `ctest -L periodic` / `ctest -L mpmc` /
 # `ctest -L lawn` / `ctest -L layout` / `ctest -L cluster` / `ctest -L net`
 # in any build directory runs just them.
 set -euo pipefail

@@ -20,11 +20,10 @@ void TimerServer::Register(RequestId cookie, const Packet& request) {
   std::lock_guard<std::mutex> lock(stripe.mutex);
   // Cancel-and-replace: a duplicate set (client retry, or reuse of a timer
   // name whose fire callback was lost) supersedes the live registration.
-  if (auto it = stripe.timers.find(cookie); it != stripe.timers.end()) {
-    if (host_->StopTimer(it->second.handle) == TimerError::kOk) {
-      stats_.replaced.fetch_add(1, std::memory_order_relaxed);
-    }
-    stripe.timers.erase(it);
+  SessionTable::Entry* live = stripe.timers.Find(cookie);
+  if (live != nullptr &&
+      host_->StopTimer(live->reg.handle) == TimerError::kOk) {
+    ++stripe.stats.replaced;
   }
   const bool periodic = request.type == PacketType::kTimerSetPeriodic;
   const Duration interval = static_cast<Duration>(request.arg0);
@@ -32,16 +31,19 @@ void TimerServer::Register(RequestId cookie, const Packet& request) {
       periodic ? host_->StartPeriodic(interval, cookie, request.arg1)
                : host_->StartTimer(interval, cookie);
   if (!started.has_value()) {
-    stats_.rejected.fetch_add(1, std::memory_order_relaxed);
+    ++stripe.stats.rejected;
+    if (live != nullptr) {
+      stripe.timers.Erase(live);
+    }
     return;
   }
-  Registration reg;
-  reg.handle = started.value();
-  reg.periodic = periodic;
-  reg.remaining = periodic ? request.arg1 : 1;
-  stripe.timers.emplace(cookie, reg);
-  (periodic ? stats_.periodic_sets : stats_.sets)
-      .fetch_add(1, std::memory_order_relaxed);
+  const Registration reg{started.value(), periodic ? request.arg1 : 1};
+  if (live != nullptr) {
+    live->reg = reg;
+  } else {
+    stripe.timers.Insert(cookie, reg);
+  }
+  ++(periodic ? stripe.stats.periodic_sets : stripe.stats.sets);
 }
 
 void TimerServer::OnRequest(const Packet& request) {
@@ -54,36 +56,32 @@ void TimerServer::OnRequest(const Packet& request) {
     case PacketType::kTimerRestart: {
       Stripe& stripe = StripeFor(cookie);
       std::lock_guard<std::mutex> lock(stripe.mutex);
-      auto it = stripe.timers.find(cookie);
-      if (it == stripe.timers.end()) {
-        stats_.restart_misses.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
+      SessionTable::Entry* live = stripe.timers.Find(cookie);
       // The relink contract keeps the handle valid, so the table entry is
       // untouched; the periodic's cadence and budget continue from the moved
       // deadline (TimerService::RestartTimer doc).
-      if (host_->RestartTimer(it->second.handle, static_cast<Duration>(
-                                                     request.arg0)) ==
-          TimerError::kOk) {
-        stats_.restarts.fetch_add(1, std::memory_order_relaxed);
+      if (live != nullptr &&
+          host_->RestartTimer(live->reg.handle,
+                              static_cast<Duration>(request.arg0)) ==
+              TimerError::kOk) {
+        ++stripe.stats.restarts;
       } else {
-        stats_.restart_misses.fetch_add(1, std::memory_order_relaxed);
+        ++stripe.stats.restart_misses;
       }
       return;
     }
     case PacketType::kTimerCancel: {
       Stripe& stripe = StripeFor(cookie);
       std::lock_guard<std::mutex> lock(stripe.mutex);
-      auto it = stripe.timers.find(cookie);
-      if (it == stripe.timers.end() ||
-          host_->StopTimer(it->second.handle) != TimerError::kOk) {
-        stats_.cancel_misses.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        stats_.cancels.fetch_add(1, std::memory_order_relaxed);
+      SessionTable::Entry* live = stripe.timers.Find(cookie);
+      if (live == nullptr) {
+        ++stripe.stats.cancel_misses;
+        return;
       }
-      if (it != stripe.timers.end()) {
-        stripe.timers.erase(it);
-      }
+      ++(host_->StopTimer(live->reg.handle) == TimerError::kOk
+             ? stripe.stats.cancels
+             : stripe.stats.cancel_misses);
+      stripe.timers.Erase(live);
       return;
     }
     default:
@@ -94,7 +92,7 @@ void TimerServer::OnRequest(const Packet& request) {
 bool TimerServer::OnWire(const std::uint8_t* data, std::size_t size) {
   std::optional<Packet> decoded = DecodePacket(data, size);
   if (!decoded.has_value()) {
-    stats_.decode_rejects.fetch_add(1, std::memory_order_relaxed);
+    decode_rejects_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   OnRequest(*decoded);
@@ -102,35 +100,32 @@ bool TimerServer::OnWire(const std::uint8_t* data, std::size_t size) {
 }
 
 void TimerServer::OnExpiry(RequestId cookie, twheel::Tick now) {
-  Packet fire;
   {
     Stripe& stripe = StripeFor(cookie);
     std::lock_guard<std::mutex> lock(stripe.mutex);
-    auto it = stripe.timers.find(cookie);
-    if (it == stripe.timers.end()) {
+    SessionTable::Entry* live = stripe.timers.Find(cookie);
+    if (live == nullptr) {
       return;  // raced with a cancel the host resolved differently; drop
     }
-    Registration& reg = it->second;
-    const bool armed =
-        reg.periodic &&
-        (reg.remaining == TimerService::kRepeatForever || reg.remaining > 1);
-    if (armed) {
+    Registration& reg = live->reg;
+    if (reg.remaining != 1) {  // armed: the host re-linked the periodic
       if (reg.remaining > 1) {
         --reg.remaining;
       }
-      stats_.periodic_laps.fetch_add(1, std::memory_order_relaxed);
+      ++stripe.stats.periodic_laps;
     } else {
-      stripe.timers.erase(it);
+      stripe.timers.Erase(live);
     }
   }
   // Build and send outside the stripe lock: the send mutex alone serializes
   // concurrent drainers into the single-threaded Channel.
+  Packet fire;
   fire.connection_id = CookieSession(cookie);
   fire.seq = CookieTimer(cookie);
   fire.type = PacketType::kTimerFire;
   fire.arg0 = now;
-  stats_.fires_sent.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(send_mutex_);
+  ++fires_sent_;
   to_client_.Send(fire);
 }
 
@@ -167,21 +162,17 @@ void TimerServer::StopDispatchPool() {
 }
 
 TimerServerStats TimerServer::stats() const {
-  TimerServerStats snapshot;
-  snapshot.sets = stats_.sets.load(std::memory_order_relaxed);
-  snapshot.periodic_sets = stats_.periodic_sets.load(std::memory_order_relaxed);
-  snapshot.replaced = stats_.replaced.load(std::memory_order_relaxed);
-  snapshot.rejected = stats_.rejected.load(std::memory_order_relaxed);
-  snapshot.restarts = stats_.restarts.load(std::memory_order_relaxed);
-  snapshot.restart_misses =
-      stats_.restart_misses.load(std::memory_order_relaxed);
-  snapshot.cancels = stats_.cancels.load(std::memory_order_relaxed);
-  snapshot.cancel_misses = stats_.cancel_misses.load(std::memory_order_relaxed);
-  snapshot.fires_sent = stats_.fires_sent.load(std::memory_order_relaxed);
-  snapshot.periodic_laps = stats_.periodic_laps.load(std::memory_order_relaxed);
-  snapshot.decode_rejects =
-      stats_.decode_rejects.load(std::memory_order_relaxed);
-  return snapshot;
+  TimerServerStats total;
+  for (const Stripe& stripe : stripes_) {
+    std::lock_guard<std::mutex> lock(stripe.mutex);
+    total += stripe.stats;
+  }
+  {
+    std::lock_guard<std::mutex> lock(send_mutex_);
+    total.fires_sent = fires_sent_;
+  }
+  total.decode_rejects = decode_rejects_.load(std::memory_order_relaxed);
+  return total;
 }
 
 std::size_t TimerServer::registrations() const {

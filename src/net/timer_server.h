@@ -12,6 +12,11 @@
 // timer module already carries, so an expiry dispatch routes back to its
 // session without any per-timer allocation on the server.
 //
+// Session table: the server keeps one Registration (host handle + laps still
+// owed) per live cookie in a net::SessionTable — a flat open-addressing array
+// with the registrations inline (session_table.h). Once the table has grown
+// to the live population, set, fire and cancel allocate nothing.
+//
 // Loss tolerance: requests are idempotent where the protocol allows it — a
 // duplicate kTimerSet for a live timer replaces the old registration
 // (cancel-and-replace), and kTimerRestart/kTimerCancel for a timer the server
@@ -23,8 +28,9 @@
 // can hand the clock to a DispatchPool (StartDispatchPool), after which expiry
 // callbacks arrive on N drainer threads at once. The server is built for that:
 // the session table is striped (per-stripe mutexes, stripe chosen by session
-// hash, so drainers touching different sessions never contend), the stats are
-// lock-free atomics, and callback sends are serialized behind a send mutex —
+// hash, so drainers touching different sessions never contend), each stripe
+// keeps its own plain counters under its mutex, and callback sends are
+// serialized behind a send mutex that also guards the fires_sent counter —
 // the Channel itself is single-threaded by contract. Requests still arrive on
 // one thread (the harness's uplink), racing only the drainers.
 
@@ -36,11 +42,11 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 
 #include "src/concurrent/dispatch_pool.h"
 #include "src/core/timer_service.h"
 #include "src/net/channel.h"
+#include "src/net/session_table.h"
 #include "src/net/types.h"
 
 namespace twheel::net {
@@ -58,19 +64,46 @@ constexpr std::uint32_t CookieTimer(RequestId cookie) {
   return static_cast<std::uint32_t>(cookie);
 }
 
+// The counter fields, declared once. Each X(name) becomes a zero-initialised
+// std::uint64_t member of TimerServerStats, and operator+= is generated from the
+// same list.
+#define TWHEEL_TIMER_SERVER_STATS_FIELDS(X)                                     \
+  X(sets)            /* one-shot registrations accepted */                      \
+  X(periodic_sets)   /* periodic registrations accepted */                      \
+  X(replaced)        /* duplicate set replaced a live timer */                  \
+  X(rejected)        /* host refused (capacity/range) */                        \
+  X(restarts)        /* kTimerRestart applied */                                \
+  X(restart_misses)  /* kTimerRestart for an unknown timer */                   \
+  X(cancels)         /* kTimerCancel applied */                                 \
+  X(cancel_misses)   /* kTimerCancel for an unknown timer */                    \
+  X(fires_sent)      /* kTimerFire callbacks handed to the channel */           \
+  X(periodic_laps)   /* fires that left the registration armed */               \
+  X(decode_rejects)  /* OnWire buffers that failed DecodePacket */
+
 struct TimerServerStats {
-  std::uint64_t sets = 0;            // one-shot registrations accepted
-  std::uint64_t periodic_sets = 0;   // periodic registrations accepted
-  std::uint64_t replaced = 0;        // duplicate set replaced a live timer
-  std::uint64_t rejected = 0;        // host refused (capacity/range)
-  std::uint64_t restarts = 0;        // kTimerRestart applied
-  std::uint64_t restart_misses = 0;  // kTimerRestart for an unknown timer
-  std::uint64_t cancels = 0;         // kTimerCancel applied
-  std::uint64_t cancel_misses = 0;   // kTimerCancel for an unknown timer
-  std::uint64_t fires_sent = 0;      // kTimerFire callbacks handed to the channel
-  std::uint64_t periodic_laps = 0;   // fires that left the registration armed
-  std::uint64_t decode_rejects = 0;  // OnWire buffers that failed DecodePacket
+#define TWHEEL_TIMER_SERVER_STATS_DECLARE(name) std::uint64_t name = 0;
+  TWHEEL_TIMER_SERVER_STATS_FIELDS(TWHEEL_TIMER_SERVER_STATS_DECLARE)
+#undef TWHEEL_TIMER_SERVER_STATS_DECLARE
+
+#define TWHEEL_TIMER_SERVER_STATS_ONE(name) +1
+  static constexpr std::size_t kFieldCount =
+      0 TWHEEL_TIMER_SERVER_STATS_FIELDS(TWHEEL_TIMER_SERVER_STATS_ONE);
+#undef TWHEEL_TIMER_SERVER_STATS_ONE
+
+  TimerServerStats& operator+=(const TimerServerStats& o) {
+#define TWHEEL_TIMER_SERVER_STATS_ADD(name) name += o.name;
+    TWHEEL_TIMER_SERVER_STATS_FIELDS(TWHEEL_TIMER_SERVER_STATS_ADD)
+#undef TWHEEL_TIMER_SERVER_STATS_ADD
+    return *this;
+  }
 };
+
+// A field declared outside TWHEEL_TIMER_SERVER_STATS_FIELDS would be skipped by
+// operator+=; this makes it a compile error instead.
+static_assert(sizeof(TimerServerStats) ==
+                  TimerServerStats::kFieldCount * sizeof(std::uint64_t),
+              "every TimerServerStats field must be listed in "
+              "TWHEEL_TIMER_SERVER_STATS_FIELDS");
 
 class TimerServer {
  public:
@@ -105,28 +138,24 @@ class TimerServer {
   void StopDispatchPool();
   bool pool_attached() const { return pool_ != nullptr; }
 
-  // Coherent snapshot at quiesce; transiently lagging fields mid-dispatch.
+  // Sums the stripes' counters, each stripe under its own mutex: coherent at
+  // quiesce, each stripe self-consistent but not all at one instant
+  // mid-dispatch.
   TimerServerStats stats() const;
   const TimerService& host() const { return *host_; }
   // Timers currently registered (the server-side session table's view).
   std::size_t registrations() const;
 
  private:
-  struct Registration {
-    TimerHandle handle;
-    // Laps still owed, mirroring the host's repeat budget: 0 = forever,
-    // 1 = next fire is final, 0 remaining after it. One-shots store 1.
-    std::uint64_t remaining = 1;
-    bool periodic = false;
-  };
-
   // The striped session table. A cookie's stripe is a function of its session
   // id, so one session's set/cancel/fire traffic serializes on one stripe
-  // while different sessions proceed in parallel on different drainers.
+  // while different sessions proceed in parallel on different drainers. Each
+  // stripe's counters live beside its table, under the same mutex.
   static constexpr std::size_t kStripes = 16;  // power of two
   struct Stripe {
     mutable std::mutex mutex;
-    std::unordered_map<RequestId, Registration> timers;
+    SessionTable timers;
+    TimerServerStats stats;
   };
   Stripe& StripeFor(RequestId cookie) {
     // Fibonacci hash of the session id; sessions are typically small dense
@@ -142,23 +171,11 @@ class TimerServer {
   Channel& to_client_;
   // Serializes kTimerFire sends from concurrent drainers: Channel counts and
   // schedules its deliveries without internal locking.
-  std::mutex send_mutex_;
+  mutable std::mutex send_mutex_;
+  std::uint64_t fires_sent_ = 0;  // guarded by send_mutex_
   Stripe stripes_[kStripes];
-
-  struct AtomicStats {
-    std::atomic<std::uint64_t> sets{0};
-    std::atomic<std::uint64_t> periodic_sets{0};
-    std::atomic<std::uint64_t> replaced{0};
-    std::atomic<std::uint64_t> rejected{0};
-    std::atomic<std::uint64_t> restarts{0};
-    std::atomic<std::uint64_t> restart_misses{0};
-    std::atomic<std::uint64_t> cancels{0};
-    std::atomic<std::uint64_t> cancel_misses{0};
-    std::atomic<std::uint64_t> fires_sent{0};
-    std::atomic<std::uint64_t> periodic_laps{0};
-    std::atomic<std::uint64_t> decode_rejects{0};
-  };
-  AtomicStats stats_;
+  // OnWire rejects touch no stripe, so this one counter stands alone.
+  std::atomic<std::uint64_t> decode_rejects_{0};
 
   std::unique_ptr<concurrent::DispatchPool> pool_;
   bool pool_is_ticker_ = false;

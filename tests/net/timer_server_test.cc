@@ -14,6 +14,7 @@
 #include "src/core/timer_facility.h"
 #include "src/net/timer_server.h"
 #include "src/net/timer_workload.h"
+#include "src/rng/rng.h"
 
 namespace twheel::net {
 namespace {
@@ -158,6 +159,42 @@ TEST(TimerServerTest, DuplicateSetReplacesTheLiveTimer) {
   rig.Tick(60);
   ASSERT_EQ(rig.callbacks.size(), 1u);  // the old deadline never fires
   EXPECT_EQ(rig.callbacks[0].arg0, 3u);
+}
+
+TEST(TimerServerTest, PeriodicWithBudgetOneFiresOnceAndCloses) {
+  // A budget of 1 makes the first fire final: the registration is one-shot in
+  // all but name.
+  ServerRig rig;
+  rig.server.OnRequest(ServerRig::Request(PacketType::kTimerSetPeriodic, 7, 1,
+                                          /*interval=*/4, /*repeat_for=*/1));
+  EXPECT_EQ(rig.server.stats().periodic_sets, 1u);
+  rig.Tick(30);
+  ASSERT_EQ(rig.callbacks.size(), 1u);
+  EXPECT_EQ(rig.callbacks[0].arg0, 4u);
+  EXPECT_EQ(rig.server.stats().periodic_laps, 0u);
+  EXPECT_EQ(rig.server.stats().fires_sent, 1u);
+  EXPECT_EQ(rig.server.registrations(), 0u);
+  EXPECT_EQ(rig.server.host().outstanding(), 0u);
+}
+
+TEST(TimerServerTest, DuplicateOneShotSetEndsALivePeriodicSeries) {
+  ServerRig rig;
+  rig.server.OnRequest(ServerRig::Request(
+      PacketType::kTimerSetPeriodic, 3, 2, /*interval=*/4,
+      /*repeat_for=*/TimerService::kRepeatForever));
+  rig.Tick(9);  // laps at 4 and 8
+  ASSERT_EQ(rig.callbacks.size(), 2u);
+  rig.server.OnRequest(
+      ServerRig::Request(PacketType::kTimerSet, 3, 2, /*interval=*/5));
+  EXPECT_EQ(rig.server.stats().replaced, 1u);
+  EXPECT_EQ(rig.server.registrations(), 1u);
+  rig.Tick(40);
+  // One final fire at 9 + 5; the series does not resume.
+  ASSERT_EQ(rig.callbacks.size(), 3u);
+  EXPECT_EQ(rig.callbacks[2].arg0, 14u);
+  EXPECT_EQ(rig.server.stats().periodic_laps, 2u);
+  EXPECT_EQ(rig.server.registrations(), 0u);
+  EXPECT_EQ(rig.server.host().outstanding(), 0u);
 }
 
 TEST(TimerServerTest, StaleRequestsAreCountedNotFatal) {
@@ -377,6 +414,108 @@ TEST(TimerServerPoolTest, TickerPoolDeliversWithoutExternalTicks) {
     network.Step();
   }
   EXPECT_EQ(callbacks.size(), kSessions);
+}
+
+TEST(TimerServerPoolTest, RequestsRaceTickerDrainersThroughTableGrowth) {
+  // The request thread sets, restarts and cancels timers of sessions whose
+  // timers are firing on ticker-mode drainers. Every session first gets a
+  // forever-periodic timer, so each of the 16 stripes grows past 128 live
+  // registrations while drainers fire them: several table doublings (from 16
+  // slots) happen under the race.
+  //
+  // Round r sets only timer name r, never a name that was set before. The
+  // server matches a fire to its registration by cookie alone, so re-setting a
+  // name whose final fire is already claimed on a drainer lets that stale fire
+  // close the new registration; this test keeps to the races the server
+  // resolves exactly.
+  sim::Simulator network(MakeNetworkService());
+  Channel downlink(network, /*seed=*/1,
+                   ChannelConfig{.loss_probability = 0.0, .delay_lo = 1,
+                                 .delay_hi = 1});
+  TimerServer server(ShardedHost(), downlink);
+  std::vector<Packet> callbacks;
+  downlink.set_receiver([&](const Packet& p) { callbacks.push_back(p); });
+
+  concurrent::DispatchOptions options;
+  options.drainers = 2;
+  options.tick_period = std::chrono::microseconds(100);
+  ASSERT_TRUE(server.StartDispatchPool(options));
+
+  constexpr std::uint32_t kSessions = 2048;
+  constexpr std::uint32_t kRounds = 3;
+  constexpr std::uint32_t kNames = kRounds + 1;
+  std::vector<bool> issued(kSessions * kNames, false);
+  for (std::uint32_t s = 0; s < kSessions; ++s) {
+    server.OnRequest(ServerRig::Request(
+        PacketType::kTimerSetPeriodic, s, 0, /*interval=*/8 + s % 24,
+        /*repeat_for=*/TimerService::kRepeatForever));
+    issued[s * kNames] = true;
+  }
+  // Each round starts only once the drainers have fired another kSessions
+  // callbacks, so requests overlap fires however fast this thread runs.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  auto await_fires = [&](std::uint64_t target) {
+    while (server.stats().fires_sent < target &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  };
+  rng::Xoshiro256 rng(11);
+  for (std::uint32_t round = 1; round <= kRounds; ++round) {
+    await_fires(server.stats().fires_sent + kSessions);
+    for (std::uint32_t s = 0; s < kSessions; ++s) {
+      const std::uint32_t older =
+          static_cast<std::uint32_t>(rng.NextBounded(round));
+      switch (rng.NextBounded(4)) {
+        case 0:
+          server.OnRequest(ServerRig::Request(PacketType::kTimerSet, s, round,
+                                              1 + rng.NextBounded(32)));
+          issued[s * kNames + round] = true;
+          break;
+        case 1:
+          server.OnRequest(ServerRig::Request(
+              PacketType::kTimerSetPeriodic, s, round, 1 + rng.NextBounded(8),
+              /*repeat_for=*/1 + rng.NextBounded(4)));
+          issued[s * kNames + round] = true;
+          break;
+        case 2:
+          server.OnRequest(ServerRig::Request(PacketType::kTimerRestart, s,
+                                              older, 1 + rng.NextBounded(16)));
+          break;
+        default:
+          server.OnRequest(
+              ServerRig::Request(PacketType::kTimerCancel, s, older));
+          break;
+      }
+    }
+  }
+  for (std::uint32_t s = 0; s < kSessions; ++s) {
+    server.OnRequest(ServerRig::Request(PacketType::kTimerCancel, s, 0));
+  }
+
+  // Quiesce: with the drainers stopped, the table mirrors the host exactly.
+  server.StopDispatchPool();
+  EXPECT_EQ(server.registrations(), server.host().outstanding());
+  // Drain what is left single-threaded, delivering callbacks as they go.
+  for (int i = 0; i < 200 && server.host().outstanding() != 0; ++i) {
+    server.Tick();
+    network.Step();
+  }
+  for (int i = 0; i < 4; ++i) {
+    network.Step();
+  }
+  // Empty only if every forever-periodic series was cancelled.
+  EXPECT_EQ(server.registrations(), 0u);
+  EXPECT_EQ(server.host().outstanding(), 0u);
+  EXPECT_EQ(callbacks.size(), server.stats().fires_sent);
+  for (const Packet& p : callbacks) {
+    ASSERT_LT(p.connection_id, kSessions);
+    ASSERT_LT(p.seq, kNames);
+    EXPECT_TRUE(issued[p.connection_id * kNames + p.seq])
+        << "callback for a timer never set: session " << p.connection_id
+        << " timer " << p.seq;
+  }
 }
 
 }  // namespace

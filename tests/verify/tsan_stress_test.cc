@@ -128,10 +128,12 @@ TEST(TsanStressTest, LockedServiceUnderTickerAndMutators) {
     for (auto& m : mutators) {
       m.join();
     }
+    // The ticker must be the only clock driver (ticker.h): stop it before
+    // draining the remaining timers by hand.
+    ticker.Stop();
     for (int i = 0; i < 100; ++i) {
       service.PerTickBookkeeping();
     }
-    ticker.Stop();
   }
 
   EXPECT_EQ(fired.load() + cancelled.load(), started.load());
