@@ -51,7 +51,8 @@
 # and under TSan on every gate run. The `net`-labelled tests are all six
 # tests/net/ suites (net_test, channel_test, backoff_test, timer_server_test,
 # session_table_test, wire_test: the transport, its delay ring, the timer
-# server, its session table and the wire codec). `ctest -L restart` / `ctest -L periodic` / `ctest -L mpmc` /
+# server, the open-addressing table its sessions share with the cluster, and
+# the wire codec; session_table_test is also labelled `cluster`). `ctest -L restart` / `ctest -L periodic` / `ctest -L mpmc` /
 # `ctest -L lawn` / `ctest -L layout` / `ctest -L cluster` / `ctest -L net`
 # in any build directory runs just them.
 set -euo pipefail

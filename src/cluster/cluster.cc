@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 #include "src/rng/rng.h"
 
@@ -17,6 +18,16 @@ std::uint64_t ArmPayload(std::uint32_t gen, std::uint32_t rank,
          static_cast<std::uint64_t>(replication & 0xFF);
 }
 
+// The ack bit of `rank` in a PendingTimer bitmask.
+std::uint8_t RankBit(std::uint32_t rank) {
+  return static_cast<std::uint8_t>(1u << rank);
+}
+// Whether `acked` holds the bit of every one of `replication` ranks.
+bool AllRanksAcked(std::uint8_t acked, std::uint32_t replication) {
+  const std::uint32_t full = (1u << replication) - 1;
+  return (acked & full) == full;
+}
+
 }  // namespace
 
 TimerCluster::TimerCluster(const ClusterConfig& config, FaultSchedule schedule)
@@ -24,6 +35,9 @@ TimerCluster::TimerCluster(const ClusterConfig& config, FaultSchedule schedule)
   assert(config_.nodes > 0);
   assert(config_.failover_delay >= 1);
   assert(config_.retry_every >= 1);
+  // PendingTimer::disarm_round counts up to the cap in one byte.
+  assert(config_.disarm_retry_cap <=
+         std::numeric_limits<decltype(PendingTimer::disarm_round)>::max());
   // Synchronous transport is the zero-fault torture mode; a schedule would
   // have nothing to act on (and nothing gates direct calls).
   assert(!config_.synchronous_transport || schedule_.empty());
@@ -164,7 +178,16 @@ bool TimerCluster::Set(std::uint64_t key, Duration interval,
   if (interval == 0) {
     return false;
   }
-  PendingTimer& entry = timers_[key];
+  const ReplicaSet replicas = ReplicaSetFor(key, replication);
+  CoordinatorTable::Entry* slot = timers_.Find(key);
+  if (slot == nullptr) {
+    PendingTimer first;  // gen 0: the first Set below makes it 1
+    first.replication = static_cast<std::uint8_t>(replicas.size());
+    slot = timers_.Insert(key, first);
+  }
+  // Held across the arm sends: with synchronous transport they re-enter only
+  // as acks, which find the record but never insert or erase.
+  PendingTimer& entry = slot->value;
   const bool was_live =
       entry.gen != 0 && entry.state == PendingTimer::State::kLive;
   // A Set superseding a resolved generation aborts its disarm fan-out: the
@@ -175,7 +198,7 @@ bool TimerCluster::Set(std::uint64_t key, Duration interval,
   }
   ++entry.gen;
   entry.deadline = now_ + interval;
-  entry.replicas = ReplicaSetFor(key, replication);
+  entry.replication = static_cast<std::uint8_t>(replicas.size());
   entry.arm_acked = 0;
   entry.disarm_acked = 0;
   entry.disarm_round = 0;
@@ -186,8 +209,8 @@ bool TimerCluster::Set(std::uint64_t key, Duration interval,
   ++stats_.accepted;
   events_.push_back({ClientEventKind::kAccepted, key, entry.gen, now_,
                      entry.deadline});
-  for (std::uint32_t rank = 0; rank < entry.replicas.size(); ++rank) {
-    SendArm(key, entry, rank);
+  for (std::uint32_t rank = 0; rank < replicas.size(); ++rank) {
+    SendArm(key, entry, replicas, rank);
   }
   QueueRetry(key, entry);
   return true;
@@ -197,34 +220,33 @@ bool TimerCluster::Restart(std::uint64_t key, Duration interval) {
   if (interval == 0) {
     return false;
   }
-  auto it = timers_.find(key);
-  if (it == timers_.end() ||
-      it->second.state != PendingTimer::State::kLive) {
+  CoordinatorTable::Entry* slot = timers_.Find(key);
+  if (slot == nullptr || slot->value.state != PendingTimer::State::kLive) {
     ++stats_.restart_misses;
     return false;
   }
-  PendingTimer& entry = it->second;
+  PendingTimer& entry = slot->value;
   ++entry.gen;
   entry.deadline = now_ + interval;
   entry.arm_acked = 0;
   ++stats_.restarts;
   events_.push_back({ClientEventKind::kRestarted, key, entry.gen, now_,
                      entry.deadline});
-  for (std::uint32_t rank = 0; rank < entry.replicas.size(); ++rank) {
-    SendArm(key, entry, rank);
+  const ReplicaSet replicas = ReplicaSetFor(key, entry.replication);
+  for (std::uint32_t rank = 0; rank < replicas.size(); ++rank) {
+    SendArm(key, entry, replicas, rank);
   }
   QueueRetry(key, entry);
   return true;
 }
 
 bool TimerCluster::Cancel(std::uint64_t key) {
-  auto it = timers_.find(key);
-  if (it == timers_.end() ||
-      it->second.state != PendingTimer::State::kLive) {
+  CoordinatorTable::Entry* slot = timers_.Find(key);
+  if (slot == nullptr || slot->value.state != PendingTimer::State::kLive) {
     ++stats_.cancel_misses;
     return false;
   }
-  PendingTimer& entry = it->second;
+  PendingTimer& entry = slot->value;
   entry.state = PendingTimer::State::kCancelled;
   --live_count_;
   ++stats_.cancels;
@@ -236,16 +258,16 @@ bool TimerCluster::Cancel(std::uint64_t key) {
 
 // --- coordinator internals ---------------------------------------------------
 
-void TimerCluster::SendArm(const std::uint64_t key, const PendingTimer& entry,
-                           std::uint32_t rank) {
+void TimerCluster::SendArm(std::uint64_t key, const PendingTimer& entry,
+                           const ReplicaSet& replicas, std::uint32_t rank) {
   net::Packet packet;
   packet.connection_id = kCoordinatorId;
   packet.seq = key;
   packet.type = net::PacketType::kClusterArm;
   packet.arg0 = entry.deadline;
-  packet.arg1 = ArmPayload(entry.gen, rank, entry.replicas.size());
+  packet.arg1 = ArmPayload(entry.gen, rank, entry.replication);
   ++stats_.arm_sends;
-  SendToNode(entry.replicas[rank], packet);
+  SendToNode(replicas[rank], packet);
 }
 
 void TimerCluster::BeginDisarm(std::uint64_t key, PendingTimer& entry,
@@ -255,8 +277,7 @@ void TimerCluster::BeginDisarm(std::uint64_t key, PendingTimer& entry,
   entry.disarm_done = false;
   entry.disarm_round = 0;
   entry.disarm_fired_flag = fired;
-  const std::uint32_t full = (1u << entry.replicas.size()) - 1;
-  if ((entry.disarm_acked & full) == full) {
+  if (AllRanksAcked(entry.disarm_acked, entry.replication)) {
     // Single replica that itself fired: nothing left to disarm.
     entry.disarm_done = true;
     --pending_disarms_;
@@ -266,9 +287,10 @@ void TimerCluster::BeginDisarm(std::uint64_t key, PendingTimer& entry,
   QueueRetry(key, entry);
 }
 
-void TimerCluster::SendDisarms(std::uint64_t key, PendingTimer& entry) {
-  for (std::uint32_t rank = 0; rank < entry.replicas.size(); ++rank) {
-    if ((entry.disarm_acked >> rank) & 1u) {
+void TimerCluster::SendDisarms(std::uint64_t key, const PendingTimer& entry) {
+  const ReplicaSet replicas = ReplicaSetFor(key, entry.replication);
+  for (std::uint32_t rank = 0; rank < replicas.size(); ++rank) {
+    if (entry.disarm_acked & RankBit(rank)) {
       continue;
     }
     net::Packet packet;
@@ -279,35 +301,34 @@ void TimerCluster::SendDisarms(std::uint64_t key, PendingTimer& entry) {
     packet.arg1 = (static_cast<std::uint64_t>(entry.disarm_fired_flag) << 8) |
                   rank;
     ++stats_.disarm_sends;
-    SendToNode(entry.replicas[rank], packet);
+    SendToNode(replicas[rank], packet);
   }
 }
 
 void TimerCluster::QueueRetry(std::uint64_t key, PendingTimer& entry) {
   if (!entry.retry_queued) {
-    retry_queue_.emplace(now_ + config_.retry_every, key);
+    retry_queue_.Push(now_ + config_.retry_every, key);
     entry.retry_queued = true;
   }
 }
 
 void TimerCluster::CoordRetryScan() {
-  while (!retry_queue_.empty() && retry_queue_.begin()->first <= now_) {
-    const std::uint64_t key = retry_queue_.begin()->second;
-    retry_queue_.erase(retry_queue_.begin());
-    auto it = timers_.find(key);
-    if (it == timers_.end()) {
+  std::uint64_t key = 0;
+  while (retry_queue_.PopDue(now_, key)) {
+    CoordinatorTable::Entry* slot = timers_.Find(key);
+    if (slot == nullptr) {
       continue;
     }
-    PendingTimer& entry = it->second;
+    PendingTimer& entry = slot->value;
     entry.retry_queued = false;
     bool again = false;
     if (entry.state == PendingTimer::State::kLive) {
-      const std::uint32_t full = (1u << entry.replicas.size()) - 1;
-      if ((entry.arm_acked & full) != full) {
-        for (std::uint32_t rank = 0; rank < entry.replicas.size(); ++rank) {
-          if (!((entry.arm_acked >> rank) & 1u)) {
+      if (!AllRanksAcked(entry.arm_acked, entry.replication)) {
+        const ReplicaSet replicas = ReplicaSetFor(key, entry.replication);
+        for (std::uint32_t rank = 0; rank < replicas.size(); ++rank) {
+          if (!(entry.arm_acked & RankBit(rank))) {
             ++stats_.arm_retries;
-            SendArm(key, entry, rank);
+            SendArm(key, entry, replicas, rank);
           }
         }
         again = true;
@@ -331,20 +352,23 @@ void TimerCluster::CoordRetryScan() {
 }
 
 void TimerCluster::RearmNodeTimers(NodeId node) {
-  for (auto& [key, entry] : timers_) {
+  // Node-up announcements travel only over the asynchronous links, so these
+  // sends never re-enter the table being walked.
+  timers_.ForEach([&](std::uint64_t key, PendingTimer& entry) {
     if (entry.state != PendingTimer::State::kLive) {
-      continue;
+      return;
     }
-    for (std::uint32_t rank = 0; rank < entry.replicas.size(); ++rank) {
-      if (entry.replicas[rank] != node) {
+    const ReplicaSet replicas = ReplicaSetFor(key, entry.replication);
+    for (std::uint32_t rank = 0; rank < replicas.size(); ++rank) {
+      if (replicas[rank] != node) {
         continue;
       }
-      entry.arm_acked &= ~(1u << rank);
+      entry.arm_acked &= static_cast<std::uint8_t>(~RankBit(rank));
       ++stats_.rearms_on_node_up;
-      SendArm(key, entry, rank);
+      SendArm(key, entry, replicas, rank);
       QueueRetry(key, entry);
     }
-  }
+  });
 }
 
 void TimerCluster::OnCoordMessage(const net::Packet& packet) {
@@ -352,28 +376,27 @@ void TimerCluster::OnCoordMessage(const net::Packet& packet) {
   const NodeId sender = packet.connection_id;
   switch (packet.type) {
     case net::PacketType::kClusterArmAck: {
-      auto it = timers_.find(key);
-      if (it == timers_.end()) {
+      CoordinatorTable::Entry* slot = timers_.Find(key);
+      if (slot == nullptr) {
         return;
       }
-      PendingTimer& entry = it->second;
+      PendingTimer& entry = slot->value;
       if (entry.state == PendingTimer::State::kLive &&
           entry.gen == static_cast<std::uint32_t>(packet.arg0)) {
-        entry.arm_acked |= 1u << (packet.arg1 & 0xFF);
+        entry.arm_acked |= RankBit(packet.arg1 & 0xFF);
       }
       return;
     }
     case net::PacketType::kClusterDisarmAck: {
-      auto it = timers_.find(key);
-      if (it == timers_.end()) {
+      CoordinatorTable::Entry* slot = timers_.Find(key);
+      if (slot == nullptr) {
         return;
       }
-      PendingTimer& entry = it->second;
+      PendingTimer& entry = slot->value;
       if (entry.state != PendingTimer::State::kLive && !entry.disarm_done &&
           entry.gen == static_cast<std::uint32_t>(packet.arg0)) {
-        entry.disarm_acked |= 1u << (packet.arg1 & 0xFF);
-        const std::uint32_t full = (1u << entry.replicas.size()) - 1;
-        if ((entry.disarm_acked & full) == full) {
+        entry.disarm_acked |= RankBit(packet.arg1 & 0xFF);
+        if (AllRanksAcked(entry.disarm_acked, entry.replication)) {
           entry.disarm_done = true;
           --pending_disarms_;
         }
@@ -387,29 +410,30 @@ void TimerCluster::OnCoordMessage(const net::Packet& packet) {
           static_cast<std::uint32_t>(packet.arg1 >> 32) & 0xFF;
       const Tick pop_tick = packet.arg0;
       bool deliver = false;
-      auto it = timers_.find(key);
-      if (it == timers_.end() || gen != it->second.gen) {
+      CoordinatorTable::Entry* slot = timers_.Find(key);
+      if (slot == nullptr || gen != slot->value.gen) {
         ++stats_.stale_gen_suppressed;
-      } else if (it->second.state == PendingTimer::State::kCancelled) {
+      } else if (slot->value.state == PendingTimer::State::kCancelled) {
         ++stats_.after_cancel_suppressed;
-      } else if (it->second.state == PendingTimer::State::kFired) {
+      } else if (slot->value.state == PendingTimer::State::kFired) {
         ++stats_.duplicate_suppressed;
       } else {
         deliver = true;
       }
       if (deliver) {
-        PendingTimer& entry = it->second;
+        PendingTimer& entry = slot->value;
         entry.state = PendingTimer::State::kFired;
         --live_count_;
         ++stats_.delivered;
         events_.push_back(
             {ClientEventKind::kFired, key, gen, now_, pop_tick});
         // The popping replica resolves via the fire-ack, not a disarm.
-        entry.disarm_acked = 1u << rank;
+        entry.disarm_acked = RankBit(rank);
         BeginDisarm(key, entry, /*fired=*/true);
       }
       // Ack the notify regardless of classification so the sender stops
-      // retransmitting; the callback runs last — it may re-enter the cluster.
+      // retransmitting; the callback runs last — it may re-enter the cluster
+      // and grow timers_, so no record reference survives past this point.
       net::Packet ack;
       ack.connection_id = kCoordinatorId;
       ack.seq = key;
@@ -450,21 +474,22 @@ void TimerCluster::MakeHost(NodeId node) {
 
 void TimerCluster::OnHostPop(NodeId node, std::uint64_t key) {
   Node& n = nodes_[node];
-  auto it = n.local.find(key);
-  if (it == n.local.end() || it->second.popped) {
+  ReplicaTable::Entry* slot = n.local.Find(key);
+  if (slot == nullptr || slot->value.popped) {
     ++stats_.orphan_pops;
     return;
   }
-  ReplicaLocal& replica = it->second;
+  ReplicaLocal& replica = slot->value;
   replica.popped = true;
   replica.pop_tick = now_;
   ++stats_.pops;
   // Copy everything needed before the first send: with synchronous transport
-  // the notify chain (fire -> fire-ack) erases this very entry re-entrantly.
+  // the notify chain (fire -> fire-ack) erases this very entry re-entrantly,
+  // and the fire callback's Sets may grow this node's table.
   const std::uint32_t gen = replica.gen;
   const std::uint32_t rank = replica.rank;
   const std::uint32_t replication = replica.replication;
-  n.notify_retry.emplace(now_ + config_.retry_every, std::make_pair(key, gen));
+  n.notify_retry.Push(now_ + config_.retry_every, {key, gen});
   SendFireNotify(node, key, gen, rank, now_);
   // Best-effort lease-extension hints: peers push their takeover lease out
   // rather than cancelling it, so a lost hint can only cost a duplicate pop.
@@ -505,16 +530,13 @@ void TimerCluster::OnNodeMessage(NodeId node, const net::Packet& packet) {
       const std::uint32_t replication =
           static_cast<std::uint32_t>(packet.arg1) & 0xFF;
       const Tick deadline = packet.arg0;
-      auto it = n.local.find(key);
-      if (it != n.local.end() && it->second.gen >= gen) {
+      ReplicaTable::Entry* slot = n.local.Find(key);
+      if (slot != nullptr && slot->value.gen >= gen) {
         // Duplicate (retried) or stale arm: idempotent, just re-ack.
       } else {
-        if (it != n.local.end()) {
-          if (!it->second.popped) {
-            n.host->StopTimer(it->second.handle);
-          }
-          n.local.erase(it);
-          --replica_entries_;
+        // A newer generation replaces the record in place.
+        if (slot != nullptr && !slot->value.popped) {
+          n.host->StopTimer(slot->value.handle);
         }
         // The rank-k lease: arm the HOST scheme for the deadline plus k
         // failover delays (catching up past-due deadlines to the host's next
@@ -525,17 +547,24 @@ void TimerCluster::OnNodeMessage(NodeId node, const net::Packet& packet) {
                             static_cast<Tick>(rank) * config_.failover_delay;
         StartResult started = n.host->StartTimer(target - host_now, key);
         if (!started.has_value()) {
+          if (slot != nullptr) {
+            n.local.Erase(slot);
+            --replica_entries_;
+          }
           ++stats_.arm_rejects;  // config error; no ack, coordinator retries
           return;
         }
         ReplicaLocal replica;
-        replica.gen = gen;
-        replica.rank = rank;
-        replica.replication = replication;
-        replica.deadline = deadline;
         replica.handle = started.value();
-        n.local.emplace(key, replica);
-        ++replica_entries_;
+        replica.gen = gen;
+        replica.rank = static_cast<std::uint8_t>(rank);
+        replica.replication = static_cast<std::uint8_t>(replication);
+        if (slot != nullptr) {
+          slot->value = replica;
+        } else {
+          n.local.Insert(key, replica);
+          ++replica_entries_;
+        }
       }
       net::Packet ack;
       ack.connection_id = node;
@@ -549,10 +578,10 @@ void TimerCluster::OnNodeMessage(NodeId node, const net::Packet& packet) {
     case net::PacketType::kClusterDisarm: {
       const std::uint32_t gen = static_cast<std::uint32_t>(packet.arg0);
       const bool fired = ((packet.arg1 >> 8) & 1u) != 0;
-      auto it = n.local.find(key);
-      if (it != n.local.end() && it->second.gen <= gen) {
-        if (!it->second.popped) {
-          n.host->StopTimer(it->second.handle);
+      ReplicaTable::Entry* slot = n.local.Find(key);
+      if (slot != nullptr && slot->value.gen <= gen) {
+        if (!slot->value.popped) {
+          n.host->StopTimer(slot->value.handle);
           if (fired) {
             ++stats_.lease_disarms;
           } else {
@@ -561,7 +590,7 @@ void TimerCluster::OnNodeMessage(NodeId node, const net::Packet& packet) {
         }
         // A popped entry's pending notify dies with it: the coordinator has
         // already resolved this generation.
-        n.local.erase(it);
+        n.local.Erase(slot);
         --replica_entries_;
       }
       net::Packet ack;
@@ -575,23 +604,22 @@ void TimerCluster::OnNodeMessage(NodeId node, const net::Packet& packet) {
     }
     case net::PacketType::kClusterSuppress: {
       const std::uint32_t gen = static_cast<std::uint32_t>(packet.arg0);
-      auto it = n.local.find(key);
-      if (it != n.local.end() && it->second.gen == gen &&
-          !it->second.popped &&
-          it->second.extensions < kMaxLeaseExtensions) {
-        if (n.host->RestartTimer(it->second.handle,
+      ReplicaTable::Entry* slot = n.local.Find(key);
+      if (slot != nullptr && slot->value.gen == gen && !slot->value.popped &&
+          slot->value.extensions < kMaxLeaseExtensions) {
+        if (n.host->RestartTimer(slot->value.handle,
                                  config_.failover_delay) == TimerError::kOk) {
-          ++it->second.extensions;
+          ++slot->value.extensions;
           ++stats_.lease_extensions;
         }
       }
       return;
     }
     case net::PacketType::kClusterFireAck: {
-      auto it = n.local.find(key);
-      if (it != n.local.end() && it->second.popped &&
-          it->second.gen == static_cast<std::uint32_t>(packet.arg0)) {
-        n.local.erase(it);
+      ReplicaTable::Entry* slot = n.local.Find(key);
+      if (slot != nullptr && slot->value.popped &&
+          slot->value.gen == static_cast<std::uint32_t>(packet.arg0)) {
+        n.local.Erase(slot);
         --replica_entries_;
       }
       return;
@@ -617,17 +645,17 @@ void TimerCluster::NodeRetryScan(NodeId node) {
     SendToCoord(node, up);
     n.next_up_retry = now_ + config_.retry_every;
   }
-  while (!n.notify_retry.empty() && n.notify_retry.begin()->first <= now_) {
-    const auto [key, gen] = n.notify_retry.begin()->second;
-    n.notify_retry.erase(n.notify_retry.begin());
-    auto it = n.local.find(key);
-    if (it == n.local.end() || !it->second.popped || it->second.gen != gen) {
+  NotifyRetry retry;
+  while (n.notify_retry.PopDue(now_, retry)) {
+    const ReplicaTable::Entry* slot = n.local.Find(retry.key);
+    if (slot == nullptr || !slot->value.popped ||
+        slot->value.gen != retry.gen) {
       continue;  // resolved or superseded since the retry was queued
     }
     ++stats_.notify_retries;
-    SendFireNotify(node, key, gen, it->second.rank, it->second.pop_tick);
-    n.notify_retry.emplace(now_ + config_.retry_every,
-                           std::make_pair(key, gen));
+    SendFireNotify(node, retry.key, retry.gen, slot->value.rank,
+                   slot->value.pop_tick);
+    n.notify_retry.Push(now_ + config_.retry_every, retry);
   }
 }
 
@@ -644,7 +672,7 @@ void TimerCluster::ApplyFaults() {
           n.alive = false;
           n.host.reset();
           replica_entries_ -= n.local.size();
-          n.local.clear();
+          n.local.Clear();
           n.notify_retry.clear();
           ++stats_.kills;
         }

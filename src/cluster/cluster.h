@@ -42,15 +42,16 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <map>
-#include <utility>
 #include <memory>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "src/base/flat_table.h"
 #include "src/base/types.h"
 #include "src/cluster/fault_schedule.h"
 #include "src/core/timer_facility.h"
@@ -120,44 +121,151 @@ struct ClientEvent {
   friend bool operator==(const ClientEvent&, const ClientEvent&) = default;
 };
 
+// The counter fields, declared once. Each X(name) becomes a zero-initialised
+// std::uint64_t member of ClusterStats, and operator+= is generated from the
+// same list.
+//
+// Coordinator receipt classification obeys a conservation law (checked by the
+// oracle): fire_receipts == delivered + duplicate_suppressed +
+// stale_gen_suppressed + after_cancel_suppressed. Node-side fields are summed
+// over nodes.
+#define TWHEEL_CLUSTER_STATS_FIELDS(X)                                        \
+  /* Coordinator: client ops. */                                              \
+  X(accepted)                                                                 \
+  X(restarts)                                                                 \
+  X(restart_misses)                                                           \
+  X(cancels)                                                                  \
+  X(cancel_misses)                                                            \
+  /* Coordinator: receipt classification. */                                  \
+  X(fire_receipts)                                                            \
+  X(delivered)                                                                \
+  X(duplicate_suppressed)                                                     \
+  X(stale_gen_suppressed)                                                     \
+  X(after_cancel_suppressed)                                                  \
+  /* Coordinator: replication traffic. */                                     \
+  X(arm_sends)                                                                \
+  X(arm_retries)                                                              \
+  X(disarm_sends)                                                             \
+  X(rearms_on_node_up)                                                        \
+  /* Node side. */                                                            \
+  X(pops)              /* host expiries that reached a replica */             \
+  X(notify_retries)                                                           \
+  X(lease_disarms)     /* survivor lease removed after delivery */            \
+  X(cancel_disarms)    /* replica removed by a client cancel */               \
+  X(lease_extensions)  /* suppress hints applied (RestartTimer) */            \
+  X(arm_rejects)       /* host refused an arm — config error, 0 */            \
+  X(orphan_pops)       /* host pop with no replica state — 0 */               \
+  /* Injector and delivery gates. */                                          \
+  X(kills)                                                                    \
+  X(node_restarts)                                                            \
+  X(partitions)                                                               \
+  X(drop_windows)                                                             \
+  X(partition_drops)   /* packets gated by a partition */                     \
+  X(window_drops)      /* packets gated by a drop window */                   \
+  X(dead_receiver_drops)
+
 struct ClusterStats {
-  // Coordinator: client ops.
-  std::uint64_t accepted = 0;
-  std::uint64_t restarts = 0;
-  std::uint64_t restart_misses = 0;
-  std::uint64_t cancels = 0;
-  std::uint64_t cancel_misses = 0;
-  // Coordinator: receipt classification. Conservation law (checked by the
-  // oracle): fire_receipts == delivered + duplicate_suppressed +
-  // stale_gen_suppressed + after_cancel_suppressed.
-  std::uint64_t fire_receipts = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t duplicate_suppressed = 0;
-  std::uint64_t stale_gen_suppressed = 0;
-  std::uint64_t after_cancel_suppressed = 0;
-  // Coordinator: replication traffic.
-  std::uint64_t arm_sends = 0;
-  std::uint64_t arm_retries = 0;
-  std::uint64_t disarm_sends = 0;
-  std::uint64_t rearms_on_node_up = 0;
-  // Node side (summed over nodes).
-  std::uint64_t pops = 0;              // host expiries that reached a replica
-  std::uint64_t notify_retries = 0;
-  std::uint64_t lease_disarms = 0;     // survivor lease removed after delivery
-  std::uint64_t cancel_disarms = 0;    // replica removed by a client cancel
-  std::uint64_t lease_extensions = 0;  // suppress hints applied (RestartTimer)
-  std::uint64_t arm_rejects = 0;       // host refused an arm — config error, 0
-  std::uint64_t orphan_pops = 0;       // host pop with no replica state — 0
-  // Injector and delivery gates.
-  std::uint64_t kills = 0;
-  std::uint64_t node_restarts = 0;
-  std::uint64_t partitions = 0;
-  std::uint64_t drop_windows = 0;
-  std::uint64_t partition_drops = 0;    // packets gated by a partition
-  std::uint64_t window_drops = 0;       // packets gated by a drop window
-  std::uint64_t dead_receiver_drops = 0;
+#define TWHEEL_CLUSTER_STATS_DECLARE(name) std::uint64_t name = 0;
+  TWHEEL_CLUSTER_STATS_FIELDS(TWHEEL_CLUSTER_STATS_DECLARE)
+#undef TWHEEL_CLUSTER_STATS_DECLARE
+
+#define TWHEEL_CLUSTER_STATS_ONE(name) +1
+  static constexpr std::size_t kFieldCount =
+      0 TWHEEL_CLUSTER_STATS_FIELDS(TWHEEL_CLUSTER_STATS_ONE);
+#undef TWHEEL_CLUSTER_STATS_ONE
+
+  ClusterStats& operator+=(const ClusterStats& o) {
+#define TWHEEL_CLUSTER_STATS_ADD(name) name += o.name;
+    TWHEEL_CLUSTER_STATS_FIELDS(TWHEEL_CLUSTER_STATS_ADD)
+#undef TWHEEL_CLUSTER_STATS_ADD
+    return *this;
+  }
 
   friend bool operator==(const ClusterStats&, const ClusterStats&) = default;
+};
+
+// A field declared outside TWHEEL_CLUSTER_STATS_FIELDS would be skipped by
+// operator+=; this makes it a compile error instead.
+static_assert(sizeof(ClusterStats) ==
+                  ClusterStats::kFieldCount * sizeof(std::uint64_t),
+              "every ClusterStats field must be listed in "
+              "TWHEEL_CLUSTER_STATS_FIELDS");
+
+// One replica's copy of a key on a node, stored inline in the node's
+// ReplicaTable. Fields are narrowed so a record stays 24 bytes: rank is below
+// kMaxReplication, replication at most kMaxReplication and extensions at most
+// kMaxLeaseExtensions.
+struct ReplicaLocal {
+  TimerHandle handle{};  // the host lease; valid in every stored record
+  Tick pop_tick = 0;
+  std::uint32_t gen = 0;
+  std::uint8_t rank = 0;
+  std::uint8_t replication = 1;
+  std::uint8_t extensions = 0;
+  bool popped = false;
+
+  bool occupied() const { return handle.valid(); }
+};
+
+// The coordinator's record of a key, stored inline in its CoordinatorTable.
+// The replica set is not stored: ReplicaSetFor(key, replication) recomputes
+// it, as the nodes do.
+struct PendingTimer {
+  enum class State : std::uint8_t { kLive, kFired, kCancelled };
+
+  Tick deadline = 0;
+  std::uint32_t gen = 0;
+  // The replica set's size; every Set stores at least 1, so 0 marks an
+  // unused slot.
+  std::uint8_t replication = 0;
+  std::uint8_t arm_acked = 0;     // bitmask by rank
+  std::uint8_t disarm_acked = 0;  // bitmask by rank
+  State state = State::kLive;
+  std::uint8_t disarm_round = 0;  // <= ClusterConfig::disarm_retry_cap
+  bool disarm_fired_flag = false;  // disarm reason: delivered fire vs cancel
+  bool disarm_done = true;         // no disarm fan-out outstanding
+  bool retry_queued = false;
+
+  bool occupied() const { return replication != 0; }
+};
+
+static_assert(kMaxReplication <= 8, "ack bitmasks are one byte");
+static_assert(sizeof(ReplicaLocal) == 24 && sizeof(PendingTimer) == 24,
+              "replica and coordinator records stay 24 bytes");
+
+using ReplicaTable = FlatTable<ReplicaLocal>;      // per node, by key
+using CoordinatorTable = FlatTable<PendingTimer>;  // by key
+
+// Retransmissions in due order. Every entry is due retry_every ticks after it
+// was pushed and the cluster clock never goes back, so pushes arrive in due
+// order and a FIFO keeps them sorted: the paper's Scheme 2 with rear
+// insertion, O(1) per push and pop when every interval is the same.
+template <typename Item>
+class RetryFifo {
+ public:
+  void Push(Tick due, const Item& item) {
+    assert(queue_.empty() || queue_.back().due <= due);
+    queue_.push_back({due, item});
+  }
+
+  // Pops the oldest entry into `item` if it is due at `now`.
+  bool PopDue(Tick now, Item& item) {
+    if (queue_.empty() || queue_.front().due > now) {
+      return false;
+    }
+    item = queue_.front().item;
+    queue_.pop_front();
+    return true;
+  }
+
+  void clear() { queue_.clear(); }
+
+ private:
+  struct Entry {
+    Tick due;
+    Item item;
+  };
+  std::deque<Entry> queue_;
 };
 
 class TimerCluster {
@@ -217,15 +325,10 @@ class TimerCluster {
   std::uint64_t link_drops() const;
 
  private:
-  struct ReplicaLocal {
+  // A popped replica awaiting kClusterFireAck.
+  struct NotifyRetry {
+    std::uint64_t key = 0;
     std::uint32_t gen = 0;
-    std::uint32_t rank = 0;
-    std::uint32_t replication = 1;
-    Tick deadline = 0;  // the client deadline (rank offset not included)
-    TimerHandle handle{};
-    bool popped = false;
-    Tick pop_tick = 0;
-    std::uint32_t extensions = 0;
   };
 
   struct Node {
@@ -243,23 +346,8 @@ class TimerCluster {
     // early.
     Tick host_base = 0;
     std::unique_ptr<TimerService> host;
-    std::unordered_map<std::uint64_t, ReplicaLocal> local;
-    // Popped replicas awaiting kClusterFireAck: (due tick, key, gen).
-    std::multimap<Tick, std::pair<std::uint64_t, std::uint32_t>> notify_retry;
-  };
-
-  struct PendingTimer {
-    std::uint32_t gen = 0;
-    Tick deadline = 0;
-    ReplicaSet replicas;             // rank order
-    std::uint32_t arm_acked = 0;     // bitmask by rank
-    std::uint32_t disarm_acked = 0;  // bitmask by rank
-    enum class State : std::uint8_t { kLive, kFired, kCancelled };
-    State state = State::kLive;
-    bool disarm_fired_flag = false;  // disarm reason: delivered fire vs cancel
-    std::uint32_t disarm_round = 0;
-    bool disarm_done = true;  // no disarm fan-out outstanding
-    bool retry_queued = false;
+    ReplicaTable local;
+    RetryFifo<NotifyRetry> notify_retry;
   };
 
   // --- transport ---
@@ -270,10 +358,11 @@ class TimerCluster {
 
   // --- coordinator ---
   void OnCoordMessage(const net::Packet& packet);
-  void SendArm(const std::uint64_t key, const PendingTimer& entry,
-               std::uint32_t rank);
+  // Sends rank `rank`'s arm to `replicas[rank]`, the key's replica set.
+  void SendArm(std::uint64_t key, const PendingTimer& entry,
+               const ReplicaSet& replicas, std::uint32_t rank);
   void BeginDisarm(std::uint64_t key, PendingTimer& entry, bool fired);
-  void SendDisarms(std::uint64_t key, PendingTimer& entry);
+  void SendDisarms(std::uint64_t key, const PendingTimer& entry);
   void QueueRetry(std::uint64_t key, PendingTimer& entry);
   void CoordRetryScan();
   void RearmNodeTimers(NodeId node);
@@ -298,8 +387,8 @@ class TimerCluster {
 
   // Coordinator state. Entries are never erased: a key's full generation
   // history stays classifiable for the whole episode.
-  std::unordered_map<std::uint64_t, PendingTimer> timers_;
-  std::multimap<Tick, std::uint64_t> retry_queue_;
+  CoordinatorTable timers_;
+  RetryFifo<std::uint64_t> retry_queue_;  // keys with arms or disarms unacked
   std::size_t live_count_ = 0;
   std::size_t replica_entries_ = 0;  // sum of nodes_[i].local.size()
   std::size_t pending_disarms_ = 0;  // entries with !disarm_done

@@ -22,7 +22,7 @@ void TimerServer::Register(RequestId cookie, const Packet& request) {
   // name whose fire callback was lost) supersedes the live registration.
   SessionTable::Entry* live = stripe.timers.Find(cookie);
   if (live != nullptr &&
-      host_->StopTimer(live->reg.handle) == TimerError::kOk) {
+      host_->StopTimer(live->value.handle) == TimerError::kOk) {
     ++stripe.stats.replaced;
   }
   const bool periodic = request.type == PacketType::kTimerSetPeriodic;
@@ -39,7 +39,7 @@ void TimerServer::Register(RequestId cookie, const Packet& request) {
   }
   const Registration reg{started.value(), periodic ? request.arg1 : 1};
   if (live != nullptr) {
-    live->reg = reg;
+    live->value = reg;
   } else {
     stripe.timers.Insert(cookie, reg);
   }
@@ -61,7 +61,7 @@ void TimerServer::OnRequest(const Packet& request) {
       // untouched; the periodic's cadence and budget continue from the moved
       // deadline (TimerService::RestartTimer doc).
       if (live != nullptr &&
-          host_->RestartTimer(live->reg.handle,
+          host_->RestartTimer(live->value.handle,
                               static_cast<Duration>(request.arg0)) ==
               TimerError::kOk) {
         ++stripe.stats.restarts;
@@ -78,7 +78,7 @@ void TimerServer::OnRequest(const Packet& request) {
         ++stripe.stats.cancel_misses;
         return;
       }
-      ++(host_->StopTimer(live->reg.handle) == TimerError::kOk
+      ++(host_->StopTimer(live->value.handle) == TimerError::kOk
              ? stripe.stats.cancels
              : stripe.stats.cancel_misses);
       stripe.timers.Erase(live);
@@ -107,7 +107,7 @@ void TimerServer::OnExpiry(RequestId cookie, twheel::Tick now) {
     if (live == nullptr) {
       return;  // raced with a cancel the host resolved differently; drop
     }
-    Registration& reg = live->reg;
+    Registration& reg = live->value;
     if (reg.remaining != 1) {  // armed: the host re-linked the periodic
       if (reg.remaining > 1) {
         --reg.remaining;

@@ -14,8 +14,8 @@
 //
 // Session table: the server keeps one Registration (host handle + laps still
 // owed) per live cookie in a net::SessionTable — a flat open-addressing array
-// with the registrations inline (session_table.h). Once the table has grown
-// to the live population, set, fire and cancel allocate nothing.
+// with the registrations inline (src/base/flat_table.h). Once the table has
+// grown to the live population, set, fire and cancel allocate nothing.
 //
 // Loss tolerance: requests are idempotent where the protocol allows it — a
 // duplicate kTimerSet for a live timer replaces the old registration
@@ -43,10 +43,10 @@
 #include <memory>
 #include <mutex>
 
+#include "src/base/flat_table.h"
 #include "src/concurrent/dispatch_pool.h"
 #include "src/core/timer_service.h"
 #include "src/net/channel.h"
-#include "src/net/session_table.h"
 #include "src/net/types.h"
 
 namespace twheel::net {
@@ -63,6 +63,24 @@ constexpr std::uint32_t CookieSession(RequestId cookie) {
 constexpr std::uint32_t CookieTimer(RequestId cookie) {
   return static_cast<std::uint32_t>(cookie);
 }
+
+// One live timer as the server sees it.
+struct Registration {
+  TimerHandle handle;
+  // Laps still owed, mirroring the host's repeat budget: 0 = forever,
+  // 1 = next fire is final. One-shots store 1, so a registration stays armed
+  // after a fire iff remaining != 1.
+  std::uint64_t remaining = 1;
+
+  // Every registration holds the valid handle its host returned, so the
+  // handle alone marks a used slot and cookie 0 is an ordinary key.
+  bool occupied() const { return handle.valid(); }
+};
+
+// Cookie -> Registration.
+using SessionTable = FlatTable<Registration>;
+static_assert(sizeof(SessionTable::Entry) == 24,
+              "a slot is the cookie plus {handle, remaining}, nothing more");
 
 // The counter fields, declared once. Each X(name) becomes a zero-initialised
 // std::uint64_t member of TimerServerStats, and operator+= is generated from the

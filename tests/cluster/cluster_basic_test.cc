@@ -139,6 +139,48 @@ TEST(ClusterBasicTest, FireCallbackMayReenterTheCluster) {
   ExpectOracleOk(cluster, config);
 }
 
+// With synchronous transport a delivery runs inside the pop that caused it:
+// host expiry -> replica notify -> coordinator -> fire-ack and disarms, which
+// erase replica records on the way -> client callback. A callback that Sets
+// hundreds of fresh keys grows the coordinator's table and every node's
+// replica table (3 nodes at R=3 hold every key) from inside that chain, and
+// its Cancels erase replica records by backward shift there too. A record
+// reference kept across a re-entrant send would dangle; ASan catches it.
+TEST(ClusterBasicTest, SynchronousReentrantSetsGrowEveryTableMidDelivery) {
+  ClusterConfig config;
+  config.nodes = 3;
+  config.replication_factor = 3;
+  config.synchronous_transport = true;
+  TimerCluster cluster(config);
+  constexpr std::uint64_t kWave = 300;  // far past a table's first 16 slots
+  constexpr int kWaves = 3;
+  std::uint64_t next_key = 1;
+  std::vector<std::uint64_t> fired;
+  cluster.set_fire_callback([&](std::uint64_t key, std::uint32_t, Tick) {
+    fired.push_back(key);
+    if (fired.size() > kWaves) {
+      return;
+    }
+    const std::uint64_t first = next_key;
+    for (std::uint64_t i = 0; i < kWave; ++i) {
+      ASSERT_TRUE(cluster.Set(next_key++, 1 + i % 7));
+    }
+    for (std::uint64_t k = first; k < next_key; k += 3) {
+      ASSERT_TRUE(cluster.Cancel(k));
+    }
+  });
+  ASSERT_TRUE(cluster.Set(0, 2));
+  cluster.Drain(100);
+  EXPECT_TRUE(cluster.quiesced());
+  EXPECT_EQ(cluster.live_timers(), 0u);
+  // Key 0, then every wave minus its cancelled third, each exactly once.
+  std::sort(fired.begin(), fired.end());
+  EXPECT_EQ(std::adjacent_find(fired.begin(), fired.end()), fired.end());
+  EXPECT_EQ(fired.size(), 1 + kWaves * (kWave - kWave / 3));
+  EXPECT_EQ(cluster.stats().orphan_pops, 0u);
+  ExpectOracleOk(cluster, config);
+}
+
 TEST(ClusterBasicTest, ReplicaSetsAreDistinctRankedAndDeterministic) {
   ClusterConfig config;
   config.nodes = 4;

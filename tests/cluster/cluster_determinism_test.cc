@@ -8,6 +8,12 @@
 //     Step phase, and all receiver logic commutes within a tick, so there is
 //     no hidden iteration-order or allocator dependence to diverge on.
 //
+//   * Pinned trajectory test: fixed-seed lossy runs (no faults, then each
+//     fault schedule shape) must reproduce a recorded digest of the client
+//     event trace and the key ClusterStats counters. The twin test only
+//     proves a run equals itself; the pins prove a change to the protocol's
+//     containers or records left its message order and timing untouched.
+//
 //   * Lockstep cross-scheme test: the same seed + schedule + script run over
 //     EVERY wheel scheme in the registry yields the same canonical fire trace
 //     — identical (tick, key, gen, deadline) multisets — because the protocol
@@ -20,6 +26,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <tuple>
 #include <vector>
 
@@ -91,6 +98,124 @@ TEST(ClusterDeterminismTest, TwinLossyFaultedRunsAreByteIdentical) {
     EXPECT_EQ(end_a, end_b) << ScheduleKindName(kind);
     EXPECT_GT(drops_a, 0u)
         << ScheduleKindName(kind) << ": lossy links never dropped — vacuous";
+  }
+}
+
+// FNV-1a over every field of every event, in trace order.
+std::uint64_t EventDigest(const std::vector<ClientEvent>& events) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xFF;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const ClientEvent& e : events) {
+    mix(static_cast<std::uint64_t>(e.kind));
+    mix(e.key);
+    mix(e.gen);
+    mix(e.at);
+    mix(e.deadline);
+  }
+  return h;
+}
+
+// One pinned run. The expected values were recorded with the coordinator and
+// replica tables as std::unordered_map and the retry queues as std::multimap.
+struct Trajectory {
+  std::optional<ScheduleKind> faults;  // nullopt: no faults
+  std::uint64_t seed;
+  std::uint64_t digest;
+  std::size_t events;
+  std::uint64_t delivered;
+  std::uint64_t duplicate_suppressed;
+  std::uint64_t arm_sends;
+  std::uint64_t arm_retries;
+  std::uint64_t disarm_sends;
+  std::uint64_t rearms_on_node_up;
+  std::uint64_t pops;
+  std::uint64_t notify_retries;
+  std::uint64_t lease_extensions;
+  std::uint64_t link_drops;
+  Tick end;
+};
+
+constexpr Trajectory kPinnedTrajectories[] = {
+    // faults, seed, digest, events, delivered, duplicate_suppressed,
+    // arm_sends, arm_retries, disarm_sends, rearms_on_node_up, pops,
+    // notify_retries, lease_extensions, link_drops, end
+    {std::nullopt, 31, 0x4cccfb7c61cdeca0, 478, 218, 378, 1757, 1007, 1204, 0,
+     301, 325, 401, 160, 464},
+    {ScheduleKind::kKills, 32, 0x78fe7de261723e15, 453, 210, 317, 2049, 1356,
+     1562, 0, 250, 306, 253, 144, 472},
+    {ScheduleKind::kRestarts, 33, 0x0ef446d668d5d4df, 488, 224, 369, 1973,
+     1102, 1363, 115, 301, 318, 324, 159, 467},
+    {ScheduleKind::kPartitions, 34, 0x133a78e7aab8fb31, 430, 194, 383, 1699,
+     1030, 1220, 0, 307, 478, 288, 137, 453},
+    {ScheduleKind::kDrops, 35, 0x7e7db18bf33b162e, 465, 220, 386, 1876, 1153,
+     1315, 0, 317, 409, 383, 143, 464},
+};
+
+TEST(ClusterDeterminismTest, PinnedTrajectoriesOnLossyLinks) {
+  for (const Trajectory& pin : kPinnedTrajectories) {
+    ScheduleParams params;
+    params.nodes = 5;
+    params.replication_factor = 3;
+    params.horizon = 400;
+    params.seed = pin.seed;
+    const FaultSchedule schedule = pin.faults.has_value()
+                                       ? MakeFaultSchedule(*pin.faults, params)
+                                       : FaultSchedule{};
+    ClusterConfig config;
+    config.nodes = params.nodes;
+    config.replication_factor = params.replication_factor;
+    config.seed = pin.seed;
+    config.link.loss_probability = 0.02;
+    TimerCluster cluster(config, schedule);
+    cluster.set_fire_callback([](std::uint64_t, std::uint32_t, Tick) {});
+    DriveScripted(cluster, pin.seed, params.horizon);
+    ASSERT_TRUE(cluster.quiesced());
+
+    const ClusterStats& s = cluster.stats();
+    const Trajectory got = {pin.faults,
+                            pin.seed,
+                            EventDigest(cluster.events()),
+                            cluster.events().size(),
+                            s.delivered,
+                            s.duplicate_suppressed,
+                            s.arm_sends,
+                            s.arm_retries,
+                            s.disarm_sends,
+                            s.rearms_on_node_up,
+                            s.pops,
+                            s.notify_retries,
+                            s.lease_extensions,
+                            cluster.link_drops(),
+                            cluster.now()};
+    const char* name =
+        pin.faults.has_value() ? ScheduleKindName(*pin.faults) : "none";
+    SCOPED_TRACE(testing::Message()
+                 << name << " seed " << pin.seed << " got {digest 0x"
+                 << std::hex << got.digest << std::dec << ", " << got.events
+                 << ", " << got.delivered << ", " << got.duplicate_suppressed
+                 << ", " << got.arm_sends << ", " << got.arm_retries << ", "
+                 << got.disarm_sends << ", " << got.rearms_on_node_up << ", "
+                 << got.pops << ", " << got.notify_retries << ", "
+                 << got.lease_extensions << ", " << got.link_drops << ", "
+                 << got.end << "}");
+    EXPECT_EQ(got.digest, pin.digest);
+    EXPECT_EQ(got.events, pin.events);
+    EXPECT_EQ(got.delivered, pin.delivered);
+    EXPECT_EQ(got.duplicate_suppressed, pin.duplicate_suppressed);
+    EXPECT_EQ(got.arm_sends, pin.arm_sends);
+    EXPECT_EQ(got.arm_retries, pin.arm_retries);
+    EXPECT_EQ(got.disarm_sends, pin.disarm_sends);
+    EXPECT_EQ(got.rearms_on_node_up, pin.rearms_on_node_up);
+    EXPECT_EQ(got.pops, pin.pops);
+    EXPECT_EQ(got.notify_retries, pin.notify_retries);
+    EXPECT_EQ(got.lease_extensions, pin.lease_extensions);
+    EXPECT_EQ(got.link_drops, pin.link_drops);
+    EXPECT_EQ(got.end, pin.end);
   }
 }
 

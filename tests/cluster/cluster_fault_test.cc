@@ -164,12 +164,7 @@ TEST(ClusterFaultTest, AdversariesActuallyProduceDuplicatePops) {
     }
     cluster.Drain(20000);
     ASSERT_TRUE(cluster.quiesced());
-    const ClusterStats& s = cluster.stats();
-    total.pops += s.pops;
-    total.delivered += s.delivered;
-    total.duplicate_suppressed += s.duplicate_suppressed;
-    total.lease_disarms += s.lease_disarms;
-    total.partition_drops += s.partition_drops;
+    total += cluster.stats();
   }
   EXPECT_GT(total.pops, total.delivered)
       << "no survivor lease ever popped: the failover path went untested";

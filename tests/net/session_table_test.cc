@@ -1,17 +1,20 @@
-// net::SessionTable, the timer server's open-addressing cookie table: probe
-// chains that wrap past the end of the slot array, backward-shift erase,
-// growth at 7/8 load, the extreme cookies, and a randomized differential
-// against std::unordered_map.
-
-#include "src/net/session_table.h"
+// twheel::FlatTable, the open-addressing table shared by the timer server and
+// the replicated cluster. Through the server's net::SessionTable: probe chains
+// that wrap past the end of the slot array, backward-shift erase, growth at
+// 7/8 load, the extreme cookies, and a randomized differential against
+// std::unordered_map. Through the cluster's ReplicaTable and CoordinatorTable:
+// the records' own occupancy tests, Clear() and ForEach().
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <unordered_map>
 #include <vector>
 
+#include "src/cluster/cluster.h"
+#include "src/net/timer_server.h"
 #include "src/rng/rng.h"
 
 namespace twheel::net {
@@ -48,10 +51,10 @@ TEST(SessionTableTest, CookieZeroAndAllOnesAreOrdinaryKeys) {
   table.Insert(~0ull, Reg(20, 0));
   ASSERT_NE(table.Find(0), nullptr);
   ASSERT_NE(table.Find(~0ull), nullptr);
-  EXPECT_EQ(table.Find(0)->reg.handle.slot, 10u);
-  EXPECT_EQ(table.Find(0)->reg.remaining, 3u);
-  EXPECT_EQ(table.Find(~0ull)->reg.handle.slot, 20u);
-  EXPECT_EQ(table.Find(~0ull)->reg.remaining, 0u);
+  EXPECT_EQ(table.Find(0)->value.handle.slot, 10u);
+  EXPECT_EQ(table.Find(0)->value.remaining, 3u);
+  EXPECT_EQ(table.Find(~0ull)->value.handle.slot, 20u);
+  EXPECT_EQ(table.Find(~0ull)->value.remaining, 0u);
 
   table.Erase(table.Find(0));
   EXPECT_EQ(table.Find(0), nullptr);
@@ -75,7 +78,7 @@ TEST(SessionTableTest, ProbeChainWrapsPastTheEndOfTheArray) {
   EXPECT_EQ(table.SlotIndex(table.Find(keys[0])), last);
   EXPECT_EQ(table.SlotIndex(table.Find(keys[1])), 0u);
   EXPECT_EQ(table.SlotIndex(table.Find(keys[2])), 1u);
-  EXPECT_EQ(table.Find(keys[2])->reg.handle.slot, 2u);
+  EXPECT_EQ(table.Find(keys[2])->value.handle.slot, 2u);
 }
 
 TEST(SessionTableTest, BackwardShiftEraseInsideAWrappedChain) {
@@ -111,7 +114,7 @@ TEST(SessionTableTest, BackwardShiftEraseInsideAWrappedChain) {
   EXPECT_EQ(table.SlotIndex(table.Find(at_last[2])), 1u);
   EXPECT_EQ(table.SlotIndex(table.Find(at_1)), 2u);
   EXPECT_EQ(table.SlotIndex(table.Find(at_4)), 4u);
-  EXPECT_EQ(table.Find(at_1)->reg.handle.slot, 4u);  // moved with its key
+  EXPECT_EQ(table.Find(at_1)->value.handle.slot, 4u);  // moved with its key
 
   // Erase the chain's head at the last slot: the wrapped members that probe
   // from there move back across the array's end.
@@ -148,7 +151,7 @@ TEST(SessionTableTest, GrowsWhenAnInsertWouldPassSevenEighthsLoad) {
   for (RequestId k = 0; k < next; ++k) {
     const SessionTable::Entry* e = table.Find(k);
     ASSERT_NE(e, nullptr) << k;
-    EXPECT_EQ(e->reg.handle.slot, k);
+    EXPECT_EQ(e->value.handle.slot, k);
   }
 }
 
@@ -177,14 +180,14 @@ TEST(SessionTableTest, RandomizedDifferentialAgainstUnorderedMap) {
     ASSERT_EQ(found != nullptr, it != model.end()) << "op " << op;
     if (found != nullptr) {
       ASSERT_EQ(found->key, key);
-      ASSERT_EQ(found->reg.handle, it->second.handle);
-      ASSERT_EQ(found->reg.remaining, it->second.remaining);
+      ASSERT_EQ(found->value.handle, it->second.handle);
+      ASSERT_EQ(found->value.remaining, it->second.remaining);
     }
     if (roll < insert_share) {
       const Registration reg =
           Reg(static_cast<std::uint32_t>(op), rng.NextBounded(4));
       if (found != nullptr) {
-        found->reg = reg;  // the server's replace-in-place
+        found->value = reg;  // the server's replace-in-place
       } else {
         table.Insert(key, reg);
       }
@@ -202,7 +205,73 @@ TEST(SessionTableTest, RandomizedDifferentialAgainstUnorderedMap) {
   for (const auto& [key, reg] : model) {
     const SessionTable::Entry* e = table.Find(key);
     ASSERT_NE(e, nullptr);
-    EXPECT_EQ(e->reg.handle, reg.handle);
+    EXPECT_EQ(e->value.handle, reg.handle);
+  }
+}
+
+TEST(SessionTableTest, ClusterReplicaTableMatchesAMapThroughClearAndForEach) {
+  // The cluster's replica records: occupancy is the host handle, so gen 0 and
+  // key 0 are ordinary. Inserts, in-place replacement, erases and whole-table
+  // Clear() (a node kill) against an ordered map; ForEach must visit exactly
+  // the live records.
+  using cluster::ReplicaLocal;
+  using cluster::ReplicaTable;
+  rng::Xoshiro256 rng(20261020);
+  ReplicaTable table;
+  std::map<std::uint64_t, ReplicaLocal> model;
+  auto record = [&](std::uint32_t n) {
+    ReplicaLocal r;
+    r.handle = TimerHandle{n, n + 1};
+    r.gen = n % 3;  // includes gen 0
+    r.rank = static_cast<std::uint8_t>(n % cluster::kMaxReplication);
+    r.popped = (n & 1) != 0;
+    r.pop_tick = n;
+    return r;
+  };
+  auto same = [](const ReplicaLocal& a, const ReplicaLocal& b) {
+    return a.handle == b.handle && a.gen == b.gen && a.rank == b.rank &&
+           a.popped == b.popped && a.pop_tick == b.pop_tick;
+  };
+  EXPECT_FALSE(ReplicaLocal{}.occupied());
+  EXPECT_FALSE(cluster::PendingTimer{}.occupied());
+  constexpr int kOps = 50000;
+  for (int op = 0; op < kOps; ++op) {
+    const std::uint64_t key = rng.NextBounded(3000);
+    const std::uint64_t roll = rng.NextBounded(1000);
+    ReplicaTable::Entry* found = table.Find(key);
+    auto it = model.find(key);
+    ASSERT_EQ(found != nullptr, it != model.end()) << "op " << op;
+    if (found != nullptr) {
+      ASSERT_TRUE(same(found->value, it->second)) << "op " << op;
+    }
+    if (roll == 0) {
+      const std::size_t capacity = table.capacity();
+      table.Clear();
+      model.clear();
+      EXPECT_EQ(table.capacity(), capacity);
+    } else if (roll < 550) {
+      const ReplicaLocal r = record(static_cast<std::uint32_t>(op));
+      if (found != nullptr) {
+        found->value = r;  // a newer generation replaces in place
+      } else {
+        ASSERT_EQ(table.Insert(key, r)->key, key);
+      }
+      model[key] = r;
+    } else if (roll < 900 && found != nullptr) {
+      table.Erase(found);
+      model.erase(it);
+    }
+    ASSERT_EQ(table.size(), model.size()) << "op " << op;
+  }
+  ASSERT_GT(model.size(), 100u);
+  std::map<std::uint64_t, ReplicaLocal> visited;
+  table.ForEach([&](std::uint64_t key, ReplicaLocal& r) {
+    EXPECT_TRUE(visited.emplace(key, r).second) << "visited twice: " << key;
+  });
+  ASSERT_EQ(visited.size(), model.size());
+  for (const auto& [key, r] : model) {
+    ASSERT_TRUE(visited.count(key)) << key;
+    EXPECT_TRUE(same(visited[key], r)) << key;
   }
 }
 
