@@ -55,6 +55,12 @@
 # the wire codec; session_table_test is also labelled `cluster`). `ctest -L restart` / `ctest -L periodic` / `ctest -L mpmc` /
 # `ctest -L lawn` / `ctest -L layout` / `ctest -L cluster` / `ctest -L net`
 # in any build directory runs just them.
+#
+# The tsan leg then reruns the two tests a drifting dispatch pool used to break,
+# TimerServerPoolTest.RequestsRaceTickerDrainersThroughTableGrowth and
+# MpmcTortureTest.MultiTickerMpsc, ten times each (`ctest --repeat
+# until-fail:10`), so a return of shards advancing on separate clocks shows on
+# one gate run instead of as a rare flake.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -116,7 +122,13 @@ for config in "${CONFIGS[@]}"; do
       run_config asan build-asan 12 -DTWHEEL_SANITIZE=address ;;
     tsan)
       TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
-      run_config tsan build-tsan 8 -DTWHEEL_SANITIZE=thread ;;
+      run_config tsan build-tsan 8 -DTWHEEL_SANITIZE=thread
+      echo "=== [tsan] repeat one-clock tests ==="
+      TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
+      ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
+        --repeat until-fail:10 \
+        -R '^(TimerServerPoolTest\.RequestsRaceTickerDrainersThroughTableGrowth|MpmcTortureTest\.MultiTickerMpsc)$'
+      echo "=== [tsan] repeat OK ===" ;;
     *)
       echo "unknown configuration '$config' (use plain|asan|tsan)" >&2
       exit 2 ;;

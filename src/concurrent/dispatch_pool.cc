@@ -1,6 +1,7 @@
 #include "src/concurrent/dispatch_pool.h"
 
 #include <algorithm>
+#include <chrono>
 
 #include "src/base/assert.h"
 
@@ -9,8 +10,6 @@ namespace twheel::concurrent {
 DispatchPool::DispatchPool(ShardedWheel& wheel, DispatchOptions options)
     : wheel_(wheel), options_(options) {
   TWHEEL_ASSERT_MSG(options_.drainers >= 1, "pool needs at least one drainer");
-  TWHEEL_ASSERT_MSG(options_.max_chunk_ticks >= 1, "chunk must cover >= 1 tick");
-  epoch_ = std::chrono::steady_clock::now();
   threads_.reserve(options_.drainers);
   for (std::size_t i = 0; i < options_.drainers; ++i) {
     threads_.emplace_back([this, i] { DrainerLoop(i); });
@@ -34,12 +33,12 @@ void DispatchPool::Stop() {
       t.join();
     }
   }
-  // All drainers have exited; anything still on a batch stack was claimed but
-  // not delivered (a burst abandoned between chunks never *publishes* partial
-  // work, but a drainer can be stopped between publish and dispatch). Deliver
-  // it serially here so exactly-once holds across shutdown — these calls run
-  // on the caller's thread, before Stop returns, so the "no bookkeeping after
-  // Stop" contract is kept.
+  // All drainers have advanced their shards to the last published target and
+  // exited; anything still on a batch stack was claimed but not delivered (a
+  // drainer stops stealing once stopping_ is set, so another owner's batch can
+  // be left behind). Deliver it serially here so exactly-once holds across
+  // shutdown — these calls run on the caller's thread, before Stop returns, so
+  // the "no bookkeeping after Stop" contract is kept.
   for (std::uint32_t s = 0; s < wheel_.num_shards(); ++s) {
     fires_dispatched_.fetch_add(wheel_.DispatchShard(s, /*owner=*/true),
                                 std::memory_order_relaxed);
@@ -48,11 +47,12 @@ void DispatchPool::Stop() {
 }
 
 std::size_t DispatchPool::AdvanceTo(Tick target) {
-  TWHEEL_ASSERT_MSG(options_.tick_period.count() == 0,
-                    "manual AdvanceTo on a ticker-mode pool");
   const std::uint64_t before = fires_dispatched_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    if (stopping_.load(std::memory_order_relaxed)) {
+      return 0;  // a target published after Stop() would reach only some shards
+    }
     Tick cur = target_.load(std::memory_order_relaxed);
     while (cur < target &&
            !target_.compare_exchange_weak(cur, target,
@@ -77,97 +77,44 @@ std::size_t DispatchPool::AdvanceTo(Tick target) {
 }
 
 void DispatchPool::DrainerLoop(std::size_t index) {
-  if (options_.tick_period.count() > 0) {
-    // Ticker mode: self-paced per-shard tickers. Each drainer is the wall
-    // clock for its own shards, exactly like TickerThread is for a whole
-    // service: it delivers as many ticks as full periods have elapsed,
-    // catching up through bounded chunks, then sleeps until the next period
-    // boundary. Different drainers' shards advance independently — that is
-    // the point — and the wheel's now() tracks the slowest shard.
-    using Clock = std::chrono::steady_clock;
-    Tick delivered = 0;
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (!stopping_.load(std::memory_order_relaxed)) {
-      const auto due = static_cast<Tick>((Clock::now() - epoch_) /
-                                         options_.tick_period);
-      if (delivered < due) {
-        lock.unlock();
-        if (AdvanceOwned(index, due)) {
-          delivered = due;
-          // Opportunistic stealing before going back to sleep: deliver other
-          // shards' published batches while this drainer would otherwise idle.
-          while (StealSweep(index) > 0) {
-          }
-          CommitCompletedClock();
-        }
-        lock.lock();
-        continue;
-      }
-      wakeup_.wait_until(
-          lock, epoch_ + (delivered + 1) * options_.tick_period,
-          [this] { return stopping_.load(std::memory_order_relaxed); });
-    }
-    return;
-  }
-
-  // Manual mode: advance to each published target, then keep stealing until
-  // the whole epoch is delivered (an idle drainer lending its core to a
-  // burst-hit shard is exactly the scaling mechanism under test).
+  // Advance to each published target, then keep stealing until the whole
+  // epoch is delivered (an idle drainer lending its core to a burst-hit shard
+  // is exactly the scaling mechanism under test). A published target is
+  // always finished, even when Stop() arrives first: that is what leaves every
+  // shard at the same cursor after the pool stops.
   Tick completed = 0;
   std::unique_lock<std::mutex> lock(mutex_);
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    const Tick t = target_.load(std::memory_order_acquire);
-    if (t > completed) {
-      lock.unlock();
-      if (AdvanceOwned(index, t)) {
-        completed = t;
-      }
-      while (options_.steal && !stopping_.load(std::memory_order_relaxed) &&
-             !EpochDone(t)) {
-        if (StealSweep(index) == 0) {
-          std::this_thread::yield();
-        }
-      }
-      CommitCompletedClock();
-      done_.notify_all();
-      lock.lock();
-      continue;
-    }
+  for (;;) {
     wakeup_.wait(lock, [this, completed] {
       return stopping_.load(std::memory_order_relaxed) ||
              target_.load(std::memory_order_relaxed) > completed;
     });
+    const Tick t = target_.load(std::memory_order_acquire);
+    if (t <= completed) {
+      return;  // stopping, and nothing left to finish
+    }
+    lock.unlock();
+    AdvanceOwned(index, t);
+    completed = t;
+    while (options_.steal && !stopping_.load(std::memory_order_relaxed) &&
+           !EpochDone(t)) {
+      if (StealSweep(index) == 0) {
+        std::this_thread::yield();
+      }
+    }
+    CommitCompletedClock();
+    done_.notify_all();
+    lock.lock();
   }
 }
 
-bool DispatchPool::AdvanceOwned(std::size_t index, Tick target) {
-  const std::size_t n = options_.drainers;
-  // Interleave chunks across the owned shards instead of running each shard to
-  // completion: during a long catch-up every owned shard's clock lags by at
-  // most one chunk relative to its siblings, and Stop() is honored between
-  // every chunk.
-  bool all_done = false;
-  while (!all_done) {
-    all_done = true;
-    for (std::uint32_t s = static_cast<std::uint32_t>(index);
-         s < wheel_.num_shards(); s += static_cast<std::uint32_t>(n)) {
-      if (stopping_.load(std::memory_order_relaxed)) {
-        return false;
-      }
-      const Tick cursor = wheel_.ShardCursor(s);
-      if (cursor >= target) {
-        continue;
-      }
-      const Tick next = std::min<Tick>(cursor + options_.max_chunk_ticks, target);
-      wheel_.AdvanceShard(s, next);
-      fires_dispatched_.fetch_add(wheel_.DispatchShard(s, /*owner=*/true),
-                                  std::memory_order_relaxed);
-      if (next < target) {
-        all_done = false;
-      }
-    }
+void DispatchPool::AdvanceOwned(std::size_t index, Tick target) {
+  for (std::uint32_t s = static_cast<std::uint32_t>(index);
+       s < wheel_.num_shards(); s += static_cast<std::uint32_t>(options_.drainers)) {
+    wheel_.AdvanceShard(s, target);
+    fires_dispatched_.fetch_add(wheel_.DispatchShard(s, /*owner=*/true),
+                                std::memory_order_relaxed);
   }
-  return true;
 }
 
 std::size_t DispatchPool::StealSweep(std::size_t index) {

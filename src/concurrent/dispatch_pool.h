@@ -26,26 +26,24 @@
 // advancement itself is never stolen — the drain-under-mutex contract keeps a
 // single advancer per shard at a time.
 //
-// Two driving modes:
-//   * manual  (tick_period == 0): the owner thread calls AdvanceTo(target) and
-//     blocks until every shard reached the target and every batch was
-//     delivered. This is the mode benchmarks and lockstep tests use.
-//   * ticker  (tick_period > 0): every drainer self-paces against the wall
-//     clock like TickerThread — each delivers its own shards' ticks as the
-//     periods elapse, with bounded catch-up chunks so Stop() stays prompt —
-//     making the pool a true "per-shard tickers" deployment. Shard cursors may
-//     transiently diverge; the wheel's now() is the committed minimum, and
-//     Stop() re-converges nothing: driving the wheel afterwards (absolute-
-//     target AdvanceTo) realigns every shard.
+// One driving mode: the owner thread calls AdvanceTo(target), which publishes
+// the target and blocks until every shard reached it and every batch was
+// delivered. For a wall clock, pace the pool with a TickerThread (ticker.h):
 //
-// The pool assumes it is the service's only clock driver while running (other
-// threads may start/stop/restart timers freely — that is the point).
+//   DispatchPool pool(wheel, {.drainers = 4});
+//   TickerThread ticker(pool, period);   // declared after the pool: stops first
+//
+// The ticker's adaptive chunk bounds each epoch, so shutdown stays prompt, and
+// every shard shares the ticker's one clock. Drainers always finish the target
+// they were given, so after Stop() every ShardCursor(s) == now().
+//
+// The pool assumes its AdvanceTo caller is the service's only clock driver
+// (other threads may start/stop/restart timers freely — that is the point).
 
 #ifndef TWHEEL_SRC_CONCURRENT_DISPATCH_POOL_H_
 #define TWHEEL_SRC_CONCURRENT_DISPATCH_POOL_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -63,19 +61,12 @@ struct DispatchOptions {
   std::size_t drainers = 2;
   // Allow drainers to deliver batches of shards they do not own.
   bool steal = true;
-  // 0 = manual mode (AdvanceTo-driven); > 0 = every drainer self-paces its
-  // shards at this wall-clock period per tick.
-  std::chrono::microseconds tick_period{0};
-  // Catch-up granularity: the most ticks one AdvanceShard call may cover.
-  // Stop() can only interrupt between calls, so this bounds shutdown latency
-  // to one chunk's worth of expiry work per drainer.
-  std::uint64_t max_chunk_ticks = 1024;
 };
 
 class DispatchPool {
  public:
   // Does not take ownership; `wheel` must outlive the pool. Threads start
-  // immediately (in ticker mode, tick 1 is due one period after construction).
+  // immediately.
   DispatchPool(ShardedWheel& wheel, DispatchOptions options);
 
   DispatchPool(const DispatchPool&) = delete;
@@ -83,18 +74,20 @@ class DispatchPool {
 
   ~DispatchPool();
 
-  // Manual mode only: publish `target`, wake the drainers, and block until
-  // every shard's cursor reached it, every published batch was delivered, and
-  // the wheel's now() committed. Returns the number of fires dispatched by the
-  // pool during the wait (all epochs' worth since the previous call). Must not
-  // be called concurrently with itself; returns early (with the fires so far)
-  // if Stop() is called mid-advance.
+  // Publish `target`, wake the drainers, and block until every shard's cursor
+  // reached it, every published batch was delivered, and the wheel's now()
+  // committed. Returns the number of fires dispatched by the pool during the
+  // wait (all epochs' worth since the previous call). Must not be called
+  // concurrently with itself; returns early (with the fires so far) if Stop()
+  // is called mid-advance — the drainers still finish the target.
   std::size_t AdvanceTo(Tick target);
+  // The wheel's committed clock; with AdvanceTo, what a TickerThread paces.
+  Tick now() const { return wheel_.now(); }
 
-  // Idempotent; blocks until every drainer exited, then delivers any batches
-  // still sitting on the stacks (serially, on this thread) and commits now()
-  // to the minimum shard cursor. No bookkeeping runs after Stop returns. A
-  // catch-up burst is abandoned between chunks, never waited out.
+  // Idempotent; blocks until every drainer finished its published target and
+  // exited, then delivers any batches still sitting on the stacks (serially,
+  // on this thread) and commits now(). Afterwards every ShardCursor(s) ==
+  // now(). No bookkeeping runs after Stop returns.
   void Stop();
 
   std::size_t drainers() const { return threads_.size(); }
@@ -107,9 +100,8 @@ class DispatchPool {
 
  private:
   void DrainerLoop(std::size_t index);
-  // Advance the shards `index` owns toward `target` in bounded chunks,
-  // dispatching after every chunk. Returns false if aborted by Stop().
-  bool AdvanceOwned(std::size_t index, Tick target);
+  // Advance each shard `index` owns to `target`, dispatching after each.
+  void AdvanceOwned(std::size_t index, Tick target);
   // One pass over the other drainers' shards, delivering any published
   // batches. Returns fires delivered.
   std::size_t StealSweep(std::size_t index);
@@ -120,13 +112,11 @@ class DispatchPool {
 
   ShardedWheel& wheel_;
   const DispatchOptions options_;
-  // Ticker mode: the shared wall-clock origin every drainer paces against.
-  std::chrono::steady_clock::time_point epoch_;
 
   std::mutex mutex_;
-  std::condition_variable wakeup_;   // drainers wait here (manual mode / pacing)
+  std::condition_variable wakeup_;   // drainers wait here for a new target
   std::condition_variable done_;     // AdvanceTo's barrier wait
-  std::atomic<Tick> target_{0};      // manual mode: latest requested target
+  std::atomic<Tick> target_{0};      // latest requested target
   std::atomic<bool> stopping_{false};
   std::atomic<std::uint64_t> fires_dispatched_{0};
 

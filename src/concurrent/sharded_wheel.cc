@@ -196,6 +196,7 @@ std::size_t ShardedWheel::PerTickBookkeeping() {
   // so every command enqueued before this call is registered before its shard
   // advances.
   const bool mpsc = deferred();
+  std::unique_lock<std::mutex> clock(clock_mutex_);
   const Tick target = now_.load(std::memory_order_relaxed) + 1;
   std::vector<PendingExpiry> pending;
   std::vector<std::pair<RequestId, Tick>> fires;
@@ -205,15 +206,9 @@ std::size_t ShardedWheel::PerTickBookkeeping() {
     if (mpsc) {
       shard.submit->Drain(*shard.wheel);
     }
-    // Shard clocks normally tick in lockstep with now_; a shard a DispatchPool
-    // already carried past `target` (a stopped ticker-mode pool leaves shards
-    // at unequal cursors) has covered this tick and must not tick twice.
-    const Tick inner_now = shard.wheel->now();
-    if (inner_now + 1 == target) {
-      shard.wheel->PerTickBookkeeping();
-    } else if (inner_now < target) {
-      shard.wheel->AdvanceTo(target);
-    }
+    TWHEEL_ASSERT_MSG(shard.wheel->now() + 1 == target,
+                      "shard clock out of step with the wheel's now()");
+    shard.wheel->PerTickBookkeeping();
     shard.cursor.store(shard.wheel->now(), std::memory_order_release);
     if (mpsc) {
       for (const auto& [id, when] : shard.collected) {
@@ -225,6 +220,7 @@ std::size_t ShardedWheel::PerTickBookkeeping() {
     shard.collected.clear();
   }
   now_.fetch_add(1, std::memory_order_release);
+  clock.unlock();
 
   if (mpsc) {
     ClaimFires(pending, fires);
@@ -233,22 +229,18 @@ std::size_t ShardedWheel::PerTickBookkeeping() {
 }
 
 std::size_t ShardedWheel::AdvanceTo(Tick target) {
+  std::unique_lock<std::mutex> clock(clock_mutex_);
   const Tick base = now_.load(std::memory_order_relaxed);
-  TWHEEL_ASSERT_MSG(target >= base, "AdvanceTo target is in the past");
-  const Duration delta = target - base;
-  if (delta == 0) {
+  // With several clock drivers, another may already have passed a target the
+  // caller computed from an earlier now(): that step is then done.
+  if (target <= base) {
     return 0;
   }
   // One lock acquisition per shard for the whole batch: drain the shard's
-  // submission ring (MPSC mode), then advance. Targets are absolute (not
-  // now()+delta per shard): shard clocks normally tick in lockstep, but a
-  // DispatchPool in ticker mode advances shards independently, so a shard
-  // whose cursor already passed `target` is skipped rather than over-advanced
-  // — driving the wheel globally after a pool stopped re-converges every shard
-  // onto `target`. The drain-then-advance order is what makes the
-  // NextExpiryHint contract sound for callers that jump: a start whose enqueue
-  // completed before this call is registered here, before any slot it could
-  // land in is crossed.
+  // submission ring (MPSC mode), then advance. The drain-then-advance order is
+  // what makes the NextExpiryHint contract sound for callers that jump: a
+  // start whose enqueue completed before this call is registered here, before
+  // any slot it could land in is crossed.
   const bool mpsc = deferred();
   std::vector<PendingExpiry> pending;
   std::vector<std::pair<RequestId, Tick>> fires;
@@ -258,9 +250,9 @@ std::size_t ShardedWheel::AdvanceTo(Tick target) {
     if (mpsc) {
       shard.submit->Drain(*shard.wheel);
     }
-    if (shard.wheel->now() < target) {
-      shard.wheel->AdvanceTo(target);
-    }
+    TWHEEL_ASSERT_MSG(shard.wheel->now() == base,
+                      "shard clock out of step with the wheel's now()");
+    shard.wheel->AdvanceTo(target);
     shard.cursor.store(shard.wheel->now(), std::memory_order_release);
     if (mpsc) {
       for (const auto& [id, when] : shard.collected) {
@@ -272,6 +264,7 @@ std::size_t ShardedWheel::AdvanceTo(Tick target) {
     shard.collected.clear();
   }
   CommitNow(target);
+  clock.unlock();
 
   // Each shard's stage is already chronological; the stable merge re-establishes
   // cross-shard tick order while keeping FIFO order within a tick (shards are

@@ -90,7 +90,9 @@ class ShardedWheel final : public TimerService {
   // under that same lock acquisition, before the shard advances — so no start
   // whose enqueue completed before this call can be skipped past. Expiries from
   // all shards are re-merged into chronological order (FIFO within a tick)
-  // before dispatch outside the locks.
+  // before dispatch outside the locks. Several threads may drive the clock at
+  // once: their steps are serialized, and a target the clock already reached
+  // returns 0.
   std::size_t AdvanceTo(Tick target) final;
   // Minimum of the shards' hints; in MPSC mode also folds in each shard's
   // pending-submission deadline minimum, so a hint taken after a completed
@@ -251,6 +253,10 @@ class ShardedWheel final : public TimerService {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::uint64_t> next_shard_{0};
   std::atomic<Tick> now_{0};
+  // Serializes the global clock steps (PerTickBookkeeping, AdvanceTo) up to
+  // their commit of now_, so every step starts with each shard at now_ even
+  // when several threads drive the clock at once. Handlers run outside it.
+  std::mutex clock_mutex_;
   // MPSC mode: started minus {fired, cancelled}, maintained without locks.
   std::atomic<std::uint64_t> live_{0};
   // MPSC mode: client-level StartTimer invocations (including rejects). The

@@ -2,13 +2,14 @@
 //
 // Everything in twheel is driven by explicit PerTickBookkeeping() calls (the
 // paper's hardware-clock interrupt). Production users need something to *be* that
-// clock: TickerThread runs a background thread that calls the service's bookkeeping
-// at a fixed wall-clock period, which is the paper's deployment model ("the
+// clock: TickerThread runs a background thread that advances the service at a
+// fixed wall-clock period, which is the paper's deployment model ("the
 // algorithm is implemented by a processor that is interrupted each time a hardware
 // clock ticks").
 //
-// The driven service must be thread-safe (LockedService or ShardedWheel) if any
-// other thread starts/stops timers concurrently. Scheduling delays are absorbed by
+// The driven object is anything with `Tick now() const` and `AdvanceTo(Tick)`:
+// a TimerService (LockedService or ShardedWheel if other threads start/stop
+// timers concurrently) or a DispatchPool. Scheduling delays are absorbed by
 // catch-up: the ticker delivers as many simulated ticks as full periods have
 // elapsed, so simulated time tracks wall time without drift (ticks are never
 // skipped, matching the model where every tick's bookkeeping must run). Backlogs
@@ -16,12 +17,15 @@
 // Loop(). The ticker assumes it is the only clock driver for the service (other
 // threads may start/stop timers, but must not advance the clock).
 //
-// TickerThread is the ONE-core clock: a single thread sweeping every shard.
-// When expiry dispatch itself must scale across cores, use DispatchPool
-// (dispatch_pool.h) in ticker mode instead — it is N of these loops, one per
-// shard group, with work stealing over the published expiry batches. This file
-// and dispatch_pool.cc are the only places in the library that read a wall
-// clock.
+// When expiry dispatch itself must scale across cores, pace a DispatchPool
+// (dispatch_pool.h) instead of the wheel:
+//
+//   DispatchPool pool(wheel, {.drainers = 4});
+//   TickerThread ticker(pool, period);   // declared last: stops first
+//
+// Each paced AdvanceTo then returns only after every shard reached the target,
+// so the whole module shares this one clock. This file is the only place in
+// the library that paces against a wall clock.
 
 #ifndef TWHEEL_SRC_CONCURRENT_TICKER_H_
 #define TWHEEL_SRC_CONCURRENT_TICKER_H_
@@ -29,20 +33,29 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <concepts>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <thread>
 
-#include "src/core/timer_service.h"
+#include "src/base/types.h"
 
 namespace twheel::concurrent {
 
+// What a ticker can drive: a readable clock and an absolute-target advance.
+template <typename T>
+concept TickDriven = requires(T& driven, const T& view, Tick target) {
+  { view.now() } -> std::convertible_to<Tick>;
+  driven.AdvanceTo(target);
+};
+
+template <TickDriven Driven>
 class TickerThread {
  public:
   // Does not take ownership; `service` must outlive the ticker. The thread starts
   // immediately.
-  TickerThread(TimerService& service, std::chrono::microseconds period)
+  TickerThread(Driven& service, std::chrono::microseconds period)
       : service_(service), period_(period), thread_([this] { Loop(); }) {}
 
   TickerThread(const TickerThread&) = delete;
@@ -52,7 +65,8 @@ class TickerThread {
 
   // Idempotent; blocks until the thread has exited. No bookkeeping call runs after
   // Stop returns. A catch-up burst is abandoned mid-burst: Stop waits for at most
-  // the one bookkeeping call in flight, never for the whole backlog.
+  // the one AdvanceTo call in flight (one adaptive chunk), never for the whole
+  // backlog.
   void Stop() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -74,11 +88,12 @@ class TickerThread {
  private:
   // Catch-up chunking: a backlog is delivered through batched AdvanceTo calls (so
   // a wheel skips its dead slots via the occupancy bitmap instead of paying one
-  // virtual call per tick), in chunks sized so one call's wall time stays near
-  // kChunkWallBudget. Stop() can only interrupt *between* calls, so the adaptive
-  // chunk — re-measured after every call, starting at 1 tick — preserves the
-  // mid-burst abort promptness even when the service's bookkeeping is slow, while
-  // a fast service coalesces a 10k-tick backlog into a handful of calls.
+  // virtual call per tick, and a pool pays one barrier per chunk), in chunks
+  // sized so one call's wall time stays near kChunkWallBudget. Stop() can only
+  // interrupt *between* calls, so the adaptive chunk — re-measured after every
+  // call, starting at 1 tick — is the one bound on shutdown latency even when
+  // the service's bookkeeping is slow, while a fast service coalesces a
+  // 10k-tick backlog into a handful of calls.
   static constexpr std::chrono::milliseconds kChunkWallBudget{10};
   static constexpr std::uint64_t kMaxChunkTicks = 1u << 16;
 
@@ -121,7 +136,7 @@ class TickerThread {
     }
   }
 
-  TimerService& service_;
+  Driven& service_;
   const std::chrono::microseconds period_;
 
   std::mutex mutex_;

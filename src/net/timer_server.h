@@ -25,8 +25,9 @@
 // kTimerFire is simply lost, exactly like a lost ack in Section 1's model.
 //
 // Concurrent dispatch: when the host is a concurrent::ShardedWheel, the server
-// can hand the clock to a DispatchPool (StartDispatchPool), after which expiry
-// callbacks arrive on N drainer threads at once. The server is built for that:
+// can hand dispatch to a DispatchPool (StartDispatchPool), after which each
+// Tick() is one pool epoch and expiry callbacks arrive on N drainer threads at
+// once. The server is built for that:
 // the session table is striped (per-stripe mutexes, stripe chosen by session
 // hash, so drainers touching different sessions never contend), each stripe
 // keeps its own plain counters under its mutex, and callback sends are
@@ -140,15 +141,16 @@ class TimerServer {
   bool OnWire(const std::uint8_t* data, std::size_t size);
 
   // Advance the host timer module one tick, dispatching expiry callbacks.
-  // With a manual-mode dispatch pool attached, the tick is delivered through
-  // the pool (all drainers participate); with a ticker-mode pool the pool IS
-  // the clock and Tick() is a no-op.
+  // With a dispatch pool attached, the tick is delivered through the pool
+  // (all drainers participate) and Tick() returns once every shard reached
+  // it. To pace the server from a wall clock, call Tick() from one clock
+  // thread; requests may keep arriving on another.
   void Tick();
 
-  // Hand the host's clock to a DispatchPool: expiry callbacks then arrive on
-  // `options.drainers` threads concurrently. Returns false (and attaches
+  // Hand the host's dispatch to a DispatchPool: expiry callbacks then arrive
+  // on `options.drainers` threads concurrently. Returns false (and attaches
   // nothing) if the host is not a concurrent::ShardedWheel or a pool is
-  // already attached. The pool assumes it is the sole clock driver: don't mix
+  // already attached. Tick() is then the pool's only clock driver: don't mix
   // with direct host advancement while attached.
   bool StartDispatchPool(const concurrent::DispatchOptions& options);
   // Stops and detaches the pool (idempotent). After return the server is
@@ -196,7 +198,6 @@ class TimerServer {
   std::atomic<std::uint64_t> decode_rejects_{0};
 
   std::unique_ptr<concurrent::DispatchPool> pool_;
-  bool pool_is_ticker_ = false;
 };
 
 }  // namespace twheel::net

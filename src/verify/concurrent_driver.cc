@@ -193,8 +193,23 @@ void RaceProducer(TimerService& sut, const TortureOptions& options,
 
 // Drives the clock until every producer has finished, then quiesces the
 // service. `advance` is called by the sole clock-driving thread.
+// `sharded` is the SUT in the pool modes, else null.
 void QuiesceAfterRace(TimerService& sut, const TortureOptions& options,
+                      const concurrent::ShardedWheel* sharded,
                       TortureReport& report) {
+  // A stopped pool must leave every shard at now(); a drifted shard would
+  // keep timers the drain below never reaches, so name it instead.
+  const std::size_t shards = sharded != nullptr ? sharded->num_shards() : 0;
+  for (std::uint32_t s = 0; s < shards; ++s) {
+    const Tick cursor = sharded->ShardCursor(s);
+    if (cursor != sut.now()) {
+      report.ok = false;
+      report.violation = Format("shard %u at %llu, now %llu", s,
+                                static_cast<unsigned long long>(cursor),
+                                static_cast<unsigned long long>(sut.now()));
+      return;
+    }
+  }
   // One batch of max_interval + 2 drains every queued command (deferred mode
   // drains before advancing) and fires every one-shot it registers; a periodic
   // started at the very end of the race still owes its whole budget of laps,
@@ -388,31 +403,26 @@ TortureReport RunRace(TimerService& sut, const TortureOptions& options) {
       // the quiesce below is the sole clock driver.
     }
   } else if (options.mode == TortureMode::kMultiTicker) {
-    // N per-shard tickers: every drainer self-paces its own shards against the
-    // wall clock and delivers (plus steals) concurrently with the producers.
+    // One wall clock for N drainers: the ticker paces the pool, whose drainers
+    // advance (and steal) concurrently with the producers.
     concurrent::DispatchPool pool(
-        *sharded,
-        {.drainers = options.drainers,
-         .steal = options.steal,
-         .tick_period = std::chrono::microseconds(options.pool_period_us),
-         .max_chunk_ticks = options.pool_chunk_ticks});
+        *sharded, {.drainers = options.drainers, .steal = options.steal});
+    concurrent::TickerThread ticker(
+        pool, std::chrono::microseconds(options.ticker_period_us));
     while (running.load(std::memory_order_acquire) != 0) {
       std::this_thread::yield();
     }
-    // Joins every drainer and delivers any batches still published; the
-    // quiesce below is then the sole clock driver (its absolute-target
-    // AdvanceTo re-converges the shard cursors the ticker left unequal).
+    // The ticker stops first; the pool then joins every drainer and delivers
+    // any batches still published, so the quiesce below is the sole clock
+    // driver.
+    ticker.Stop();
     pool.Stop();
   } else if (options.mode == TortureMode::kStealStorm) {
-    // Manual-mode pool slammed with bursty jumps: each AdvanceTo publishes
-    // whole slot-ranges of expiry batches at once across every shard, so idle
+    // Pool slammed with bursty jumps: each AdvanceTo publishes whole
+    // slot-ranges of expiry batches at once across every shard, so idle
     // drainers race to steal them while the owners are still advancing.
     concurrent::DispatchPool pool(
-        *sharded,
-        {.drainers = options.drainers,
-         .steal = options.steal,
-         .tick_period = std::chrono::microseconds(0),
-         .max_chunk_ticks = options.pool_chunk_ticks});
+        *sharded, {.drainers = options.drainers, .steal = options.steal});
     rng::Xoshiro256 rng(options.seed ^ 0xda3e39cb94b95bdbULL);
     std::size_t delivered = 0;
     while (delivered < options.race_ticks ||
@@ -445,7 +455,7 @@ TortureReport RunRace(TimerService& sut, const TortureOptions& options) {
     t.join();
   }
 
-  QuiesceAfterRace(sut, options, report);
+  QuiesceAfterRace(sut, options, sharded, report);
   CheckRaceLogs(logs, fire_log, report);
   if (pool_mode) {
     auto fail = [&report](std::string message) {

@@ -1,10 +1,12 @@
 // DispatchPool and the split tick protocol (AdvanceShard / DispatchShard /
 // CommitNow): deterministic single-threaded protocol tests (including a
 // directly-driven steal), the counts() coherence regression under N concurrent
-// drainers, and the shutdown-promptness contract mid catch-up burst.
+// drainers, and, with a TickerThread pacing the pool, the shutdown-promptness
+// contract mid catch-up burst and the one-clock invariant after Stop().
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -15,6 +17,7 @@
 
 #include "src/concurrent/dispatch_pool.h"
 #include "src/concurrent/sharded_wheel.h"
+#include "src/concurrent/ticker.h"
 
 namespace twheel::concurrent {
 namespace {
@@ -133,7 +136,7 @@ TEST(SplitTickProtocolTest, StolenCancelRaceSuppressesExactlyOnce) {
   EXPECT_EQ(log.fires[0].first, 9u);
 }
 
-// --- DispatchPool, manual mode ---------------------------------------------
+// --- DispatchPool, driven by AdvanceTo --------------------------------------
 
 TEST(DispatchPoolTest, ManualAdvanceDeliversEverythingAndCommitsNow) {
   ShardedWheel wheel(4, 64, Generous());
@@ -246,7 +249,7 @@ TEST(DispatchPoolTest, CountsConservationHoldsUnderConcurrentDrainers) {
   EXPECT_EQ(wheel.dispatch_order_violations(), 0u);
 }
 
-// --- DispatchPool, ticker mode ---------------------------------------------
+// --- DispatchPool paced by a TickerThread ---------------------------------
 
 TEST(DispatchPoolTest, TickerModeFiresWithoutExternalDriving) {
   ShardedWheel wheel(2, 64, Generous());
@@ -257,8 +260,8 @@ TEST(DispatchPoolTest, TickerModeFiresWithoutExternalDriving) {
   }
   DispatchOptions options;
   options.drainers = 2;
-  options.tick_period = std::chrono::microseconds(100);
   DispatchPool pool(wheel, options);
+  TickerThread ticker(pool, std::chrono::microseconds(100));
   // 8 ticks owed after ~1ms; spin until the pool delivered all 8 fires.
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::seconds(10);
@@ -266,17 +269,18 @@ TEST(DispatchPoolTest, TickerModeFiresWithoutExternalDriving) {
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  ticker.Stop();
   pool.Stop();
   EXPECT_EQ(wheel.outstanding(), 0u) << "ticker pool never delivered";
   EXPECT_EQ(log.fires.size(), 8u);
   EXPECT_EQ(wheel.dispatch_order_violations(), 0u);
 }
 
-// Satellite: shutdown promptness. N per-shard tickers mid catch-up burst —
-// a microscopic period plus a bounded chunk size means the drainers are
-// permanently behind schedule, always inside a catch-up burst. Stop() must
-// abandon the burst between chunks (never wait out the accumulated debt) and
-// run no bookkeeping after it returns.
+// Satellite: shutdown promptness. A ticker pacing the pool mid catch-up burst
+// — a microscopic period means the ticker is permanently behind schedule,
+// always inside a catch-up burst. Stop() must abandon the burst between
+// chunks (never wait out the accumulated debt) and run no bookkeeping after
+// it returns.
 TEST(DispatchPoolTest, StopIsPromptMidCatchUpBurstAndFinal) {
   ShardedWheel wheel(4, 64, Generous());
   SafeLog log;
@@ -290,9 +294,8 @@ TEST(DispatchPoolTest, StopIsPromptMidCatchUpBurstAndFinal) {
   }
   DispatchOptions options;
   options.drainers = 4;
-  options.tick_period = std::chrono::microseconds(1);  // unmeetable pace
-  options.max_chunk_ticks = 32;
   DispatchPool pool(wheel, options);
+  TickerThread ticker(pool, std::chrono::microseconds(1));  // unmeetable pace
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   {
     // The burst is real: laps were delivered while we slept (an infinite
@@ -302,10 +305,11 @@ TEST(DispatchPoolTest, StopIsPromptMidCatchUpBurstAndFinal) {
   }
 
   const auto stop_begin = std::chrono::steady_clock::now();
+  ticker.Stop();
   pool.Stop();
   const auto stop_elapsed = std::chrono::steady_clock::now() - stop_begin;
-  // ~50ms at 1µs/tick leaves ~50k ticks of debt per drainer; a prompt Stop
-  // abandons it within a few chunks. The bound is deliberately loose for slow
+  // ~50ms at 1µs/tick leaves ~50k ticks of debt; a prompt Stop abandons it
+  // after the one chunk in flight. The bound is deliberately loose for slow
   // CI, but far below the many seconds the full debt would cost.
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(stop_elapsed)
                 .count(),
@@ -333,8 +337,8 @@ TEST(DispatchPoolTest, StopIsPromptMidCatchUpBurstAndFinal) {
     EXPECT_FALSE(wheel.HasPendingBatches(s)) << "shard " << s;
   }
 
-  // The wheel is still a valid single-driver service afterwards: the absolute-
-  // target advance re-converges the unequal shard cursors and keeps firing.
+  // The wheel is still a valid single-driver service afterwards: a manual
+  // advance keeps firing.
   const std::uint64_t before = wheel.counts().periodic_fires;
   wheel.AdvanceTo(wheel.now() + 16);
   EXPECT_GT(wheel.counts().periodic_fires, before)
@@ -348,14 +352,76 @@ TEST(DispatchPoolTest, StopIsIdempotentAndDestructorSafe) {
   ASSERT_TRUE(wheel.StartTimer(4, 1).has_value());
   DispatchOptions options;
   options.drainers = 2;
-  options.tick_period = std::chrono::microseconds(50);
   {
     DispatchPool pool(wheel, options);
+    TickerThread ticker(pool, std::chrono::microseconds(50));
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    ticker.Stop();
     pool.Stop();
     pool.Stop();  // idempotent
-  }  // destructor calls Stop again
+  }  // destructors stop the ticker, then the pool, again
   SUCCEED();
+}
+
+// One clock: a paced pool whose shards carry unequal load (one shard's
+// handlers are slow) must still stop with every shard cursor at now(), so a
+// following manual advance fires exactly the timers that are due.
+TEST(DispatchPoolTest, TickerDrivenPoolLeavesEveryShardAtNow) {
+  constexpr std::uint32_t kShards = 4;
+  ShardedWheel wheel(kShards, 64, Generous());
+  SafeLog log;
+  wheel.set_expiry_handler([&log](RequestId id, Tick when) {
+    if (id % kShards == 0) {
+      // Starts are routed round-robin, so these cookies all live on shard 0.
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+    std::lock_guard<std::mutex> lock(log.mutex);
+    log.fires.emplace_back(id, when);
+  });
+  // Cookie i is a forever-periodic with period 1 + i % 7, started at tick 0.
+  constexpr RequestId kPeriodics = 64;
+  auto period = [](RequestId id) { return static_cast<Duration>(1 + id % 7); };
+  for (RequestId id = 0; id < kPeriodics; ++id) {
+    ASSERT_TRUE(
+        wheel.StartPeriodic(period(id), id, TimerService::kRepeatForever)
+            .has_value());
+  }
+  {
+    DispatchOptions options;
+    options.drainers = 2;
+    DispatchPool pool(wheel, options);
+    TickerThread ticker(pool, std::chrono::microseconds(2));
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    ticker.Stop();
+    pool.Stop();
+  }
+  const Tick now = wheel.now();
+  ASSERT_GT(now, 0u) << "the ticker never advanced the pool";
+  for (std::uint32_t s = 0; s < kShards; ++s) {
+    EXPECT_EQ(wheel.ShardCursor(s), now) << "shard " << s;
+  }
+
+  // One-shots started now, one per interval, plus the periodics' laps in
+  // (now, now + k]: exactly these fire, each at its due tick.
+  constexpr Duration k = 40;
+  constexpr RequestId kOneShotBase = 1000;
+  FireLog expected;
+  for (Duration i = 1; i <= k; ++i) {
+    ASSERT_TRUE(wheel.StartTimer(i, kOneShotBase + i).has_value());
+    expected.emplace_back(kOneShotBase + i, now + i);
+  }
+  for (RequestId id = 0; id < kPeriodics; ++id) {
+    for (Tick t = (now / period(id) + 1) * period(id); t <= now + k;
+         t += period(id)) {
+      expected.emplace_back(id, t);
+    }
+  }
+  log.fires.clear();
+  wheel.AdvanceTo(now + k);
+  FireLog fired = log.fires;
+  std::sort(fired.begin(), fired.end());
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(fired, expected);
 }
 
 }  // namespace

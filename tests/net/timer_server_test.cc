@@ -323,6 +323,18 @@ std::unique_ptr<TimerService> ShardedHost() {
   return std::make_unique<concurrent::ShardedWheel>(4, 64, submit);
 }
 
+// Paces a pooled server from the wall clock: one Tick() per `period` until
+// stop is requested. Stop it before StopDispatchPool, so the pool never sees a
+// Tick() after it stopped.
+std::jthread StartClock(TimerServer& server, std::chrono::microseconds period) {
+  return std::jthread([&server, period](std::stop_token stop) {
+    while (!stop.stop_requested()) {
+      server.Tick();
+      std::this_thread::sleep_for(period);
+    }
+  });
+}
+
 TEST(TimerServerPoolTest, PoolRefusedForNonShardedHost) {
   ServerRig rig;  // scheme6 host: a plain single-threaded wheel
   concurrent::DispatchOptions options;
@@ -332,7 +344,7 @@ TEST(TimerServerPoolTest, PoolRefusedForNonShardedHost) {
 }
 
 TEST(TimerServerPoolTest, ManualPoolPreservesProtocolSemantics) {
-  // Same rig, but the host clock is a 2-drainer manual-mode pool: Tick()
+  // Same rig, but the host clock is a 2-drainer pool: Tick()
   // routes through DispatchPool::AdvanceTo, so every callback was dispatched
   // by a drainer thread. Protocol results must be identical to the
   // single-threaded path.
@@ -378,7 +390,7 @@ TEST(TimerServerPoolTest, ManualPoolPreservesProtocolSemantics) {
 }
 
 TEST(TimerServerPoolTest, TickerPoolDeliversWithoutExternalTicks) {
-  // Ticker-mode pool: the drainers are the clock. The main thread must not
+  // A clock thread paces the pool; the main thread never ticks. It must not
   // touch the simulator while drainers may call Channel::Send (the send mutex
   // serializes senders, not Send vs Step), so callbacks are flushed after
   // Stop. fires_sent counts what the drainers handed to the channel.
@@ -392,20 +404,21 @@ TEST(TimerServerPoolTest, TickerPoolDeliversWithoutExternalTicks) {
 
   concurrent::DispatchOptions options;
   options.drainers = 4;
-  options.tick_period = std::chrono::microseconds(50);
   ASSERT_TRUE(server.StartDispatchPool(options));
   constexpr std::uint32_t kSessions = 24;
   for (std::uint32_t s = 0; s < kSessions; ++s) {
     server.OnRequest(
         ServerRig::Request(PacketType::kTimerSet, s, 0, 1 + (s % 8)));
   }
+  std::jthread clock = StartClock(server, std::chrono::microseconds(50));
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (server.stats().fires_sent < kSessions &&
          std::chrono::steady_clock::now() < deadline) {
-    server.Tick();  // no-op under a ticker pool; must not disturb the clock
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  clock.request_stop();
+  clock.join();
   server.StopDispatchPool();
   EXPECT_EQ(server.stats().fires_sent, kSessions);
   EXPECT_EQ(server.registrations(), 0u);
@@ -418,7 +431,7 @@ TEST(TimerServerPoolTest, TickerPoolDeliversWithoutExternalTicks) {
 
 TEST(TimerServerPoolTest, RequestsRaceTickerDrainersThroughTableGrowth) {
   // The request thread sets, restarts and cancels timers of sessions whose
-  // timers are firing on ticker-mode drainers. Every session first gets a
+  // timers are firing on drainers paced by a clock thread. Every session first gets a
   // forever-periodic timer, so each of the 16 stripes grows past 128 live
   // registrations while drainers fire them: several table doublings (from 16
   // slots) happen under the race.
@@ -438,8 +451,8 @@ TEST(TimerServerPoolTest, RequestsRaceTickerDrainersThroughTableGrowth) {
 
   concurrent::DispatchOptions options;
   options.drainers = 2;
-  options.tick_period = std::chrono::microseconds(100);
   ASSERT_TRUE(server.StartDispatchPool(options));
+  std::jthread clock = StartClock(server, std::chrono::microseconds(100));
 
   constexpr std::uint32_t kSessions = 2048;
   constexpr std::uint32_t kRounds = 3;
@@ -495,6 +508,8 @@ TEST(TimerServerPoolTest, RequestsRaceTickerDrainersThroughTableGrowth) {
   }
 
   // Quiesce: with the drainers stopped, the table mirrors the host exactly.
+  clock.request_stop();
+  clock.join();
   server.StopDispatchPool();
   EXPECT_EQ(server.registrations(), server.host().outstanding());
   // Drain what is left single-threaded, delivering callbacks as they go.

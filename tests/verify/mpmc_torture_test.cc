@@ -57,15 +57,14 @@ TortureOptions BaseOptions(std::uint64_t seed, std::size_t drainers) {
   options.periodic_probability = 0.15;
   options.periodic_repeat_max = 3;
   options.drainers = drainers;
-  options.pool_chunk_ticks = 16;
   return options;
 }
 
 TEST(MpmcTortureTest, MultiTickerMpsc) {
-  // N per-shard tickers: wall-clock-driven, so cap the episode count the way
-  // TickerRaceMpsc does, but sweep the drainer counts — 1 drainer degenerates
-  // to the single-ticker deployment (a soundness baseline for the checker),
-  // 4 drainers on 4 shards is one ticker per shard.
+  // One ticker pacing N drainers: wall-clock-driven, so cap the episode count
+  // the way TickerRaceMpsc does, but sweep the drainer counts — 1 drainer
+  // degenerates to the single-ticker deployment (a soundness baseline for the
+  // checker), 4 drainers on 4 shards is one drainer per shard.
   const std::size_t episodes = std::min<std::size_t>(Episodes(5), 10);
   for (std::size_t drainers : kDrainerCounts) {
     for (std::size_t ep = 0; ep < episodes; ++ep) {
@@ -73,7 +72,7 @@ TEST(MpmcTortureTest, MultiTickerMpsc) {
           4, 64, Submit(8192, 8192, concurrent::SubmitPolicy::kSpin));
       TortureOptions options = BaseOptions(11000 + ep, drainers);
       options.mode = TortureMode::kMultiTicker;
-      options.pool_period_us = 20;
+      options.ticker_period_us = 20;
       options.ops_per_producer = 2048;
       const TortureReport report = RunTorture(wheel, options);
       ASSERT_TRUE(report.ok) << "drainers=" << drainers << " episode=" << ep
@@ -83,7 +82,7 @@ TEST(MpmcTortureTest, MultiTickerMpsc) {
 }
 
 TEST(MpmcTortureTest, StealStormMpsc) {
-  // Manual-mode pool slammed with bursty AdvanceTo jumps: every jump publishes
+  // A pool slammed with bursty AdvanceTo jumps: every jump publishes
   // expiry batches across all shards at once, so the non-advancing drainers
   // spend the episode stealing. Deterministic enough to run at full episode
   // count.
